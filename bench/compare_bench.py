@@ -42,12 +42,17 @@ The gate is designed to be machine-independent:
   machine noise and only reported.
 
 * e25 (open-loop saturation harness): the simulated side is deterministic —
-  convergence, cross-row replica-state agreement, and the packet / batch /
-  outbox-sync counters are gated per row. Wall-clock throughput is machine
-  noise and only reported, EXCEPT the within-run speedup of the optimized
-  row over the aos-unbatched ablation (same binary, same machine — a ratio
-  like e10's), which must clear the constant-factor floor
-  ("speedup_floor" in the baseline, default 1.5).
+  convergence, cross-row replica-state agreement, pass-to-pass repetition
+  ("counters_repeat"), and the packet / batch / outbox-sync counters are
+  gated per row. The soa-batched row's replay ratio — applies made over
+  the paper's literal undo/redo count, redone_updates / (undone_updates +
+  mid_inserts + tail_appends) — is a pure function of the schedule and
+  must stay at or below 1.6; missing or zero counters fail it. Wall-clock
+  throughput is machine noise and only reported, EXCEPT the within-run
+  speedup of the optimized row over the aos-unbatched ablation (same
+  binary, same machine, each row's median pass — a ratio like e10's),
+  which must clear the constant-factor floor ("speedup_floor" in the
+  baseline, default 1.5).
 
 * e24 (flame-attribution harness): the equivalence gates are exact — the
   sharded tracer's stream must be byte-identical to the legacy global
@@ -478,6 +483,26 @@ E25_COUNTERS = [
 # on the same machine — the one wall-clock-derived number that IS gated.
 E25_SPEEDUP_FLOOR = 1.5
 
+# Merge-replay proportionality: on the optimized row, the applies the
+# engine actually makes may exceed the paper's literal undo/redo count by
+# at most this factor (exact; deterministic per schedule).
+E25_REPLAY_RATIO_CEILING = 1.6
+E25_REPLAY_ROW = "soa-batched"
+E25_REPLAY_COUNTERS = ("engine.redone_updates", "engine.undone_updates",
+                       "engine.mid_inserts", "engine.tail_appends")
+
+
+def e25_replay_ratio(counters):
+    """redone_updates over the literal count undone + mid + tail; None when
+    a counter is missing or either side is zero (nothing was measured)."""
+    if any(name not in counters for name in E25_REPLAY_COUNTERS):
+        return None
+    redone, undone, mid, tail = (counters[n] for n in E25_REPLAY_COUNTERS)
+    literal = undone + mid + tail
+    if redone == 0 or literal == 0:
+        return None
+    return redone / literal
+
 
 def compare_e25(base, cur, tol):
     rc = 0
@@ -500,16 +525,34 @@ def compare_e25(base, cur, tol):
     base_rows = {r["mode"]: r for r in base["rows"]}
     for row in cur["rows"]:
         mode = row["mode"]
-        for flag in ("converged", "decisions_ok"):
+        for flag in ("converged", "decisions_ok", "counters_repeat"):
             if not row[flag]:
                 rc |= fail(f"mode={mode} {flag} is false",
                            key=f"mode={mode} {flag}", current=False,
                            baseline=True, allowed="exact")
+        counters = row["metrics"]["counters"]
+        ratio = e25_replay_ratio(counters)
+        ceiling = E25_REPLAY_RATIO_CEILING
+        if mode != E25_REPLAY_ROW:
+            shown = "n/a" if ratio is None else f"{ratio:.3f}"
+            print(f"info: mode={mode} replay_ratio {shown} (not gated)")
+        elif ratio is None:
+            rc |= fail(f"mode={mode} replay_ratio: engine redo/undo "
+                       f"counters missing or zero",
+                       key=f"mode={mode} replay_ratio", current=None,
+                       allowed=f"<= {ceiling:.2f}")
+        elif ratio > ceiling:
+            rc |= fail(f"mode={mode} replay_ratio {ratio:.3f} > ceiling "
+                       f"{ceiling:.2f}",
+                       key=f"mode={mode} replay_ratio", current=ratio,
+                       allowed=f"<= {ceiling:.2f}")
+        else:
+            print(f"ok: mode={mode} replay_ratio {ratio:.3f} "
+                  f"(ceiling {ceiling:.2f})")
         br = base_rows.get(mode)
         if br is None:
             print(f"note: mode={mode} has no baseline row; skipping")
             continue
-        counters = row["metrics"]["counters"]
         bcounters = br["metrics"]["counters"]
         for name in E25_COUNTERS:
             c, b = counters.get(name, 0), bcounters.get(name, 0)
@@ -707,8 +750,13 @@ def _selftest_e25_doc():
     def row(mode, batch, rate):
         return {"mode": mode, "layout": "soa", "max_batch": batch,
                 "converged": True, "decisions_ok": True,
+                "counters_repeat": True,
                 "wall_seconds": 1.0, "tx_per_sec_per_node": rate,
-                "metrics": {"counters": {"e25.txs": 1000, "net.sent": 5000},
+                "metrics": {"counters": {"e25.txs": 1000, "net.sent": 5000,
+                                         "engine.redone_updates": 1500,
+                                         "engine.undone_updates": 900,
+                                         "engine.mid_inserts": 50,
+                                         "engine.tail_appends": 50},
                             "gauges": {}}}
     return {"rows_agree": True, "speedup_vs_aos_unbatched": 2.0,
             "rows": [row("soa-batched", 8, 100.0),
@@ -749,8 +797,29 @@ def selftest():
     bad["rows"][0]["converged"] = False
     check("e25 catches dirty flag", compare_e25(doc, bad, 0.15) != 0)
     bad = copy.deepcopy(doc)
+    bad["rows"][2]["counters_repeat"] = False
+    check("e25 catches unrepeated counters", compare_e25(doc, bad, 0.15) != 0)
+    bad = copy.deepcopy(doc)
     bad["speedup_vs_aos_unbatched"] = 1.2
     check("e25 enforces speedup floor", compare_e25(doc, bad, 0.15) != 0)
+    bad = copy.deepcopy(doc)
+    bad["rows"][0]["metrics"]["counters"]["engine.redone_updates"] = 7100
+    check("e25 enforces replay-ratio ceiling",
+          compare_e25(doc, bad, 0.15) != 0)
+    bad = copy.deepcopy(doc)
+    bad["rows"][1]["metrics"]["counters"]["engine.redone_updates"] = 7100
+    check("e25 replay ratio gates only soa-batched",
+          compare_e25(doc, bad, 0.15) == 0)
+    bad = copy.deepcopy(doc)
+    del bad["rows"][0]["metrics"]["counters"]["engine.redone_updates"]
+    check("e25 replay ratio fails on a missing counter",
+          compare_e25(doc, bad, 0.15) != 0)
+    bad = copy.deepcopy(doc)
+    for name in ("engine.undone_updates", "engine.mid_inserts",
+                 "engine.tail_appends"):
+        bad["rows"][0]["metrics"]["counters"][name] = 0
+    check("e25 replay ratio fails on a zero literal count",
+          compare_e25(doc, bad, 0.15) != 0)
     bad = copy.deepcopy(doc)
     bad["rows"][1]["metrics"]["counters"]["net.sent"] = 50000
     check("e25 catches counter drift", compare_e25(doc, bad, 0.15) != 0)

@@ -20,9 +20,15 @@
 //   aos-unbatched    AoS UpdateLog,       max_batch = 0   (the old hot path)
 //
 // Everything simulated is deterministic per row — txs, packet and batch
-// counters, retention footprints, convergence — and gated by
-// compare_bench.py e25 against bench/baselines/BENCH_e25.json. Wall-clock
-// saturation throughput (tx/s/node) and the derived
+// counters, merge work, retention footprints, convergence — and gated by
+// compare_bench.py e25 against bench/baselines/BENCH_e25.json. Each row
+// runs kPasses times, round-robin with the other rows, and the simulated
+// side must repeat exactly (counters_repeat). A row reports its median
+// pass. On a 4-core host whose speed drifts both ways by up to ~1.3x in
+// spells of seconds, taking each row's fastest pass let one lucky pass of
+// the slow row sink the speedup below its floor in 2 of 18 runs; the
+// median of 5 did not in 11.
+// Wall-clock saturation throughput (tx/s/node) and the derived
 // speedup_vs_aos_unbatched are machine-dependent and reported; the gate
 // only enforces the speedup floor (>= 1.5x, the constant-factor claim) —
 // a within-run ratio of the same binary on the same machine, like e10's.
@@ -128,13 +134,17 @@ std::vector<std::vector<Submission>> build_schedule(std::size_t* total) {
   return schedule;
 }
 
+constexpr std::size_t kPasses = 5;  // Odd, so the median is one pass.
+
 struct Row {
   const char* mode;
   std::size_t max_batch;
   const char* layout;
   bool converged = false;
   bool decisions_ok = false;
-  double wall_seconds = 0.0;
+  bool counters_repeat = true;
+  double wall_seconds = 0.0;              ///< Median pass (run + settle).
+  std::vector<double> pass_wall_seconds;  ///< Every pass, in run order.
   double tx_per_sec_per_node = 0.0;
   std::vector<Air::State> states;
   std::string metrics_json;
@@ -175,9 +185,7 @@ Row run_row(const char* mode, const char* layout, std::size_t max_batch,
   row.layout = layout;
   row.converged = cluster.converged();
   row.decisions_ok = cluster.aggregate_engine_stats().decisions_run == total;
-  row.wall_seconds = wall;
-  row.tx_per_sec_per_node =
-      static_cast<double>(total) / wall / static_cast<double>(kNodes);
+  row.pass_wall_seconds.push_back(wall);
   for (std::size_t n = 0; n < kNodes; ++n) {
     row.states.push_back(cluster.node(static_cast<core::NodeId>(n)).state());
   }
@@ -186,6 +194,23 @@ Row run_row(const char* mode, const char* layout, std::size_t max_batch,
   reg.merge_from(cluster.metrics());
   row.metrics_json = reg.to_json();
   return row;
+}
+
+/// Fold one pass of row `i` into `rows` (the first pass founds the row).
+/// Every later pass must reproduce the first one's flags, counters and
+/// replica states exactly.
+void add_pass(std::vector<Row>& rows, std::size_t i, Row pass) {
+  if (rows.size() == i) {
+    rows.push_back(std::move(pass));
+    return;
+  }
+  Row& row = rows[i];
+  row.counters_repeat = row.counters_repeat &&
+                        pass.converged == row.converged &&
+                        pass.decisions_ok == row.decisions_ok &&
+                        pass.metrics_json == row.metrics_json &&
+                        pass.states == row.states;
+  row.pass_wall_seconds.push_back(pass.pass_wall_seconds.front());
 }
 
 // ---------------------------------------------------------------------------
@@ -264,13 +289,27 @@ int main() {
   const std::vector<std::vector<Submission>> schedule =
       build_schedule(&total);
 
+  // Passes go round-robin over the rows, so a slow spell of the host
+  // slows every row's pass instead of all of one row's passes.
   std::vector<Row> rows;
-  rows.push_back(run_row<shard::LogLayout::kSoA>("soa-batched", "soa", 8,
-                                                 schedule, total));
-  rows.push_back(run_row<shard::LogLayout::kSoA>("soa-unbatched", "soa", 0,
-                                                 schedule, total));
-  rows.push_back(run_row<shard::LogLayout::kAoS>("aos-unbatched", "aos", 0,
-                                                 schedule, total));
+  for (std::size_t pass = 0; pass < kPasses; ++pass) {
+    add_pass(rows, 0,
+             run_row<shard::LogLayout::kSoA>("soa-batched", "soa", 8,
+                                             schedule, total));
+    add_pass(rows, 1,
+             run_row<shard::LogLayout::kSoA>("soa-unbatched", "soa", 0,
+                                             schedule, total));
+    add_pass(rows, 2,
+             run_row<shard::LogLayout::kAoS>("aos-unbatched", "aos", 0,
+                                             schedule, total));
+  }
+  for (Row& r : rows) {
+    std::vector<double> walls = r.pass_wall_seconds;
+    std::nth_element(walls.begin(), walls.begin() + kPasses / 2, walls.end());
+    r.wall_seconds = walls[kPasses / 2];
+    r.tx_per_sec_per_node = static_cast<double>(total) / r.wall_seconds /
+                            static_cast<double>(kNodes);
+  }
 
   // Convergence is order-independent (same merged set, same timestamp
   // order), so all three rows must land on identical replica states.
@@ -290,7 +329,8 @@ int main() {
   std::printf("{\n  \"experiment\": \"e25_saturation\",\n");
   std::printf("  \"nodes\": %zu, \"ticks\": %zu, \"horizon\": %.2f,\n",
               kNodes, kTicks, kHorizon);
-  std::printf("  \"zipf_keys\": %zu, \"txs\": %zu,\n", kZipfKeys, total);
+  std::printf("  \"zipf_keys\": %zu, \"txs\": %zu, \"passes\": %zu,\n",
+              kZipfKeys, total, kPasses);
   std::printf("  \"rows_agree\": %s,\n", rows_agree ? "true" : "false");
   std::printf("  \"speedup_vs_aos_unbatched\": %.3f,\n", speedup);
   std::printf("  \"merge_replay\": {\n");
@@ -320,12 +360,19 @@ int main() {
     std::printf("    {\"mode\": \"%s\", \"layout\": \"%s\", "
                 "\"max_batch\": %zu,\n",
                 r.mode, r.layout, r.max_batch);
-    std::printf("     \"converged\": %s, \"decisions_ok\": %s,\n",
+    std::printf("     \"converged\": %s, \"decisions_ok\": %s, "
+                "\"counters_repeat\": %s,\n",
                 r.converged ? "true" : "false",
-                r.decisions_ok ? "true" : "false");
+                r.decisions_ok ? "true" : "false",
+                r.counters_repeat ? "true" : "false");
     std::printf("     \"wall_seconds\": %.3f, "
                 "\"tx_per_sec_per_node\": %.1f,\n",
                 r.wall_seconds, r.tx_per_sec_per_node);
+    std::printf("     \"pass_wall_seconds\": [");
+    for (std::size_t p = 0; p < r.pass_wall_seconds.size(); ++p) {
+      std::printf("%s%.3f", p == 0 ? "" : ", ", r.pass_wall_seconds[p]);
+    }
+    std::printf("],\n");
     std::printf("     \"metrics\":\n");
     print_indented(r.metrics_json, "      ");
     std::printf("\n    }%s\n", i + 1 < rows.size() ? "," : "");

@@ -26,8 +26,8 @@
 #include <any>
 #include <cassert>
 #include <cstdint>
-#include <deque>
 #include <functional>
+#include <map>
 #include <memory>
 #include <unordered_set>
 #include <utility>
@@ -346,7 +346,7 @@ class ReliableBroadcast {
     for (auto& e : seen_extra_) e.clear();
     std::fill(delivered_count_.begin(), delivered_count_.end(), 0);
     std::fill(contiguous_have_.begin(), contiguous_have_.end(), 0);
-    pending_.clear();
+    for (auto& buf : pending_) buf.clear();
     held_.reset();  // a wire the adversary held back is volatile state
     ++stats_.amnesia_resets;
     set_down(false);
@@ -385,7 +385,7 @@ class ReliableBroadcast {
     delivered_count_ = keep;
     contiguous_have_ = keep;
     for (auto& e : seen_extra_) e.clear();
-    pending_.clear();
+    for (auto& buf : pending_) buf.clear();
     held_.reset();  // a wire the adversary held back is volatile state
     ++stats_.stale_resets;
     set_down(false);
@@ -617,8 +617,8 @@ class ReliableBroadcast {
       deliver_now(w);
       return;
     }
-    pending_.push_back(w);
     ++stats_.causally_buffered;
+    pending_[w.origin].emplace(w.origin_seq, Held{++arrivals_, w});
     drain_pending();
   }
 
@@ -658,25 +658,36 @@ class ReliableBroadcast {
   }
 
   /// Causal drain: deliver any buffered message whose dependencies are met,
-  /// repeating until a fixed point. Delivery order among concurrently ready
-  /// messages follows buffer order (deterministic).
+  /// repeating until a fixed point. Only an origin's next-in-sequence wire
+  /// can be deliverable, so each step looks at one wire per origin and
+  /// delivers the ready one that arrived first — among concurrently ready
+  /// messages, delivery follows arrival order (deterministic). A delivery
+  /// may re-enter accept(): the merge can release a waiting serializable
+  /// transaction, which broadcasts. The nested drain runs to its own fixed
+  /// point, and this loop then re-reads the buffers.
   void drain_pending() {
-    bool progressed = true;
-    while (progressed) {
-      progressed = false;
-      for (auto it = pending_.begin(); it != pending_.end(); ++it) {
-        if (!deliverable(*it)) continue;
-        Wire w = std::move(*it);
-        pending_.erase(it);
-        deliver_now(w);
-        progressed = true;
-        break;  // iterator invalidated; rescan
+    for (;;) {
+      std::size_t best = pending_.size();
+      for (std::size_t o = 0; o < pending_.size(); ++o) {
+        if (pending_[o].empty()) continue;
+        const auto& [seq, held] = *pending_[o].begin();
+        assert(seq > delivered_count_[o]);
+        if (seq != delivered_count_[o] + 1) continue;
+        if (best != pending_.size() &&
+            pending_[best].begin()->second.arrival < held.arrival) {
+          continue;
+        }
+        if (deps_met(held.wire)) best = o;
       }
+      if (best == pending_.size()) return;
+      const auto it = pending_[best].begin();
+      const Wire w = std::move(it->second.wire);
+      pending_[best].erase(it);
+      deliver_now(w);
     }
   }
 
-  bool deliverable(const Wire& w) const {
-    if (w.origin_seq != delivered_count_[w.origin] + 1) return false;
+  bool deps_met(const Wire& w) const {
     for (sim::NodeId n = 0; n < delivered_count_.size(); ++n) {
       if (n == w.origin) continue;
       if (w.deps[n] > delivered_count_[n]) return false;
@@ -836,8 +847,17 @@ class ReliableBroadcast {
       std::vector<std::vector<std::uint64_t>>(store_.size());
   /// Received-but-not-contiguous sequence numbers per origin.
   std::vector<std::unordered_set<std::uint64_t>> seen_extra_;
-  /// Causal-mode holding buffer.
-  std::deque<Wire> pending_;
+  /// Causal-mode holding buffer: per origin, the buffered wires keyed by
+  /// origin_seq, each stamped with its arrival number (arrivals_ counts
+  /// every wire ever buffered). Every held seq is above the origin's
+  /// delivered count, so begin() is the only candidate for delivery.
+  struct Held {
+    std::uint64_t arrival = 0;
+    Wire wire;
+  };
+  std::vector<std::map<std::uint64_t, Held>> pending_ =
+      std::vector<std::map<std::uint64_t, Held>>(store_.size());
+  std::uint64_t arrivals_ = 0;
 
   // Byzantine adversary state — inert unless options_.byzantine.enabled.
   // Its RNG is separate from rng_ (anti-entropy peer choice) and seeded

@@ -18,13 +18,17 @@ struct EngineStats {
   std::uint64_t tail_appends = 0;    ///< Updates merged at the log tail.
   std::uint64_t mid_inserts = 0;     ///< Updates merged out of order.
   std::uint64_t undone_updates = 0;  ///< Updates rolled back by mid-inserts.
-  std::uint64_t redone_updates = 0;  ///< Updates re-applied (incl. replays
-                                     ///< from checkpoints).
+  /// Applies the engine actually made: one per tail append plus every
+  /// update replayed from a checkpoint after a mid-insert. Exceeds the
+  /// literal undo/redo count (undone_updates + mid_inserts + tail_appends)
+  /// by the replay below each insertion point.
+  std::uint64_t redone_updates = 0;
   std::uint64_t checkpoints_taken = 0;
   std::uint64_t checkpoints_invalidated = 0;
-  std::uint64_t checkpoints_thinned = 0;  ///< Snapshots dropped by the
-                                          ///< geometric max_checkpoints bound
-                                          ///< (UpdateLog), not by mid-inserts.
+  std::uint64_t checkpoints_thinned = 0;  ///< Snapshots dropped to keep the
+                                          ///< count within max_checkpoints
+                                          ///< (UpdateLog's retention rule),
+                                          ///< not by mid-inserts.
   std::uint64_t entries_folded = 0;  ///< Compaction ([SL]): discarded entries.
 
   // Crash/recovery (E18). A submission reaching a down node is *rejected*,

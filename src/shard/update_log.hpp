@@ -22,9 +22,14 @@
 // supply inverses; instead — like the optimizations of [BK]/[SKS], which
 // keep history/checkpoint information to avoid recomputation — we keep
 // periodic state checkpoints and replay forward from the nearest checkpoint
-// at or before the insertion point. The observable result and the
-// undo/redo *counts* (what the thrashing analysis consumes) are identical
-// to the literal strategy.
+// at or before the insertion point. The observable result and the undo
+// count (`undone_updates`, what the thrashing analysis consumes) are
+// identical to the literal strategy. `redone_updates` is not: it counts the
+// applies the engine actually made, and a replay starts at a checkpoint
+// at or below the insertion point, so it exceeds the literal redo count
+// (undone_updates + mid_inserts + tail_appends). With max_checkpoints set,
+// the retention rule in thin_checkpoints() keeps each replay within a small
+// factor of the displacement (DESIGN.md §9).
 //
 // Storage layout (constant factors; DESIGN.md §9): every insert binary-
 // searches the timestamp order and a mid-insert shifts the tail, so the
@@ -204,7 +209,7 @@ class UpdateLog {
   /// A state snapshot: `state` is the fold of the first `pos` retained
   /// entries over the base. Explicit positions (instead of the old implicit
   /// j*interval scheme) are what let compaction shift snapshots in place
-  /// and the geometric mode keep a sparse set.
+  /// and the bounded-count mode keep a sparse set.
   struct Checkpoint {
     std::size_t pos = 0;
     State state;
@@ -213,9 +218,11 @@ class UpdateLog {
   /// `checkpoint_interval` = number of log entries between state snapshots;
   /// 0 disables checkpoints (every mid-insert replays from the base — the
   /// naive strategy, kept for the E10 ablation). `max_checkpoints` bounds
-  /// the snapshot count: when exceeded, snapshots are geometrically thinned
-  /// (dense near the tail, sparse near the base), keeping O(log n) `State`
-  /// copies instead of O(n/interval); 0 keeps every snapshot.
+  /// the snapshot count, base included: when exceeded, snapshots are
+  /// thinned (dense near the tail, sparse near the base; see
+  /// thin_checkpoints), keeping that many `State` copies instead of
+  /// O(n/interval); 0 keeps every snapshot, and 1 keeps only the base
+  /// (every mid-insert replays from it, as with interval 0).
   explicit UpdateLog(std::size_t checkpoint_interval = 32,
                      std::size_t max_checkpoints = 0)
       : checkpoint_interval_(checkpoint_interval),
@@ -443,8 +450,15 @@ class UpdateLog {
                     ts.logical, ts.node, a);
   }
 
+  /// Whether snapshots beyond the base are taken at all. A bound of one
+  /// leaves room for the base only, so a new snapshot would be dropped as
+  /// soon as it was copied.
+  bool takes_checkpoints() const {
+    return checkpoint_interval_ != 0 && max_checkpoints_ != 1;
+  }
+
   void maybe_checkpoint() {
-    if (checkpoint_interval_ == 0) return;
+    if (!takes_checkpoints()) return;
     if (store_.size() - checkpoints_.back().pos >= checkpoint_interval_) {
       checkpoints_.push_back(Checkpoint{store_.size(), state_});
       ++stats_.checkpoints_taken;
@@ -476,8 +490,7 @@ class UpdateLog {
     for (std::size_t i = start; i < store_.size(); ++i) {
       App::apply(store_.update_at(i), state_);
       ++stats_.redone_updates;
-      if (checkpoint_interval_ != 0 &&
-          (i + 1) - last_cp >= checkpoint_interval_) {
+      if (takes_checkpoints() && (i + 1) - last_cp >= checkpoint_interval_) {
         checkpoints_.push_back(Checkpoint{i + 1, state_});
         last_cp = i + 1;
         ++stats_.checkpoints_taken;
@@ -486,30 +499,39 @@ class UpdateLog {
     }
   }
 
-  /// Geometric bounded-count mode: once the snapshot count exceeds
-  /// max_checkpoints_, walk from the newest snapshot toward the base and
-  /// keep only snapshots whose gap to the last kept one is at least
-  /// `interval`, doubling the required gap per kept snapshot. Recent
-  /// positions (where mid-inserts land) stay densely covered; O(log n)
-  /// snapshots survive overall. The base (pos 0) is always kept.
+  /// Bounded-count mode: while the snapshot count exceeds max_checkpoints_,
+  /// drop the interior snapshot whose loss hurts replay least. Without
+  /// snapshot i, an insert landing between it and snapshot i+1 replays
+  /// from snapshot i-1; measured against that insert's displacement (at
+  /// least tail - next, where tail is the newest snapshot and the log runs
+  /// at most one interval past it), the replay grows to at most
+  ///     (tail - prev + interval) / (tail - next + interval),
+  /// so the snapshot with the smallest such ratio goes (the oldest on a
+  /// tie). The survivors spread out geometrically from the tail as it
+  /// advances, so every insertion point keeps a snapshot below it within a
+  /// small factor of its displacement. The base (pos 0) is always kept.
+  /// No snapshot is taken when max_checkpoints_ == 1, so an overflow means
+  /// at least 3 snapshots and always has an interior one to drop.
   void thin_checkpoints() {
-    if (max_checkpoints_ == 0 || checkpoints_.size() <= max_checkpoints_) {
-      return;
-    }
-    std::vector<Checkpoint> kept;
-    kept.push_back(std::move(checkpoints_.back()));
-    std::size_t gap = std::max<std::size_t>(checkpoint_interval_, 1);
-    for (std::size_t i = checkpoints_.size() - 1; i-- > 1;) {
-      if (kept.back().pos - checkpoints_[i].pos >= gap) {
-        kept.push_back(std::move(checkpoints_[i]));
-        gap *= 2;
-      } else {
-        ++stats_.checkpoints_thinned;
+    if (max_checkpoints_ == 0) return;
+    const std::size_t interval = checkpoint_interval_;
+    while (checkpoints_.size() > max_checkpoints_) {
+      const std::size_t tail = checkpoints_.back().pos;
+      const auto num = [&](std::size_t i) {
+        return tail - checkpoints_[i - 1].pos + interval;
+      };
+      const auto den = [&](std::size_t i) {
+        return tail - checkpoints_[i + 1].pos + interval;
+      };
+      std::size_t victim = 1;
+      for (std::size_t i = 2; i + 1 < checkpoints_.size(); ++i) {
+        // num(i)/den(i) < num(victim)/den(victim), cross-multiplied.
+        if (num(i) * den(victim) < num(victim) * den(i)) victim = i;
       }
+      checkpoints_.erase(checkpoints_.begin() +
+                         static_cast<std::ptrdiff_t>(victim));
+      ++stats_.checkpoints_thinned;
     }
-    kept.push_back(std::move(checkpoints_.front()));
-    std::reverse(kept.begin(), kept.end());
-    checkpoints_ = std::move(kept);
   }
 
   std::size_t checkpoint_interval_;

@@ -4,8 +4,12 @@
 // node will eventually receive information about every transaction".
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <deque>
 #include <memory>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "net/broadcast.hpp"
@@ -264,6 +268,133 @@ TEST(Broadcast, PrunedStoreStillRepairsAPartitionedPeer) {
   for (std::size_t i = 0; i < 3; ++i) {
     EXPECT_EQ(h.delivered[i].size(), 12u) << "node " << i;
   }
+}
+
+/// Transport the test drives by hand: datagrams for `held` are captured
+/// (to be fed to it later in any order); all others queue until pump().
+class ManualTransport final : public runtime::Transport {
+ public:
+  explicit ManualTransport(sim::NodeId held) : held_(held) {}
+
+  void register_node(sim::NodeId node, Handler handler) override {
+    if (handlers_.size() <= node) handlers_.resize(node + 1);
+    handlers_[node] = std::move(handler);
+  }
+  std::size_t node_count() const override { return handlers_.size(); }
+  std::uint64_t send(sim::NodeId src, sim::NodeId dst,
+                     std::any payload) override {
+    sim::Message m{src, dst, ++next_id_, std::move(payload)};
+    (dst == held_ ? captured : queue_).push_back(std::move(m));
+    return next_id_;
+  }
+  std::size_t send_to_all(sim::NodeId src, const std::any& payload) override {
+    std::size_t sent = 0;
+    for (sim::NodeId dst = 0; dst < handlers_.size(); ++dst) {
+      if (dst == src) continue;
+      send(src, dst, payload);
+      ++sent;
+    }
+    return sent;
+  }
+  void set_node_down(sim::NodeId, bool) override {}
+  bool node_down(sim::NodeId) const override { return false; }
+
+  /// Deliver every queued datagram (and whatever those deliveries send).
+  void pump() {
+    while (!queue_.empty()) {
+      const sim::Message m = std::move(queue_.front());
+      queue_.pop_front();
+      handlers_[m.dst](m);
+    }
+  }
+  void feed(const sim::Message& m) { handlers_[m.dst](m); }
+
+  std::deque<sim::Message> captured;
+
+ private:
+  sim::NodeId held_;
+  std::vector<Handler> handlers_;
+  std::deque<sim::Message> queue_;
+  std::uint64_t next_id_ = 0;
+};
+
+TEST(Broadcast, CausalDrainOrderMatchesGolden) {
+  // Origins 0-2 broadcast a 36-wire causal run, seeing each other's wires
+  // at irregular points (so deps cross origins); node 3 receives the run
+  // out of order. When a gap fills, several wires from different origins
+  // become ready at once, and the drain releases them in arrival order.
+  // Every 5th delivery at node 3 also broadcasts from inside the delivery
+  // callback — a re-entrant accept() — as a released serializable
+  // transaction does. The golden sequence pins that tie-break.
+  sim::Scheduler sched;
+  runtime::SimExecutor exec(sched);
+  ManualTransport transport(3);
+  net::BroadcastOptions opts;
+  opts.anti_entropy_interval = 0.0;
+  std::vector<std::unique_ptr<Rb>> nodes;
+  std::vector<std::pair<sim::NodeId, std::uint64_t>> order;
+  // issued_at[k]: deliveries made before node 3's broadcast k + 1.
+  // own_overtaken: own wires delivered after an older ready wire.
+  std::vector<std::size_t> issued_at;
+  std::size_t own_overtaken = 0;
+  for (sim::NodeId i = 0; i < 4; ++i) {
+    nodes.push_back(std::make_unique<Rb>(
+        exec, transport, i, 4, opts, 100 + i,
+        [&nodes, &order, &issued_at, &own_overtaken, i](const Rb::Wire& w) {
+          if (i != 3) return;
+          order.emplace_back(w.origin, w.origin_seq);
+          if (w.origin == 3 && order.size() > issued_at[w.origin_seq - 1] + 1) {
+            ++own_overtaken;
+          }
+          if (order.size() % 5 == 0) {
+            issued_at.push_back(order.size());
+            nodes[3]->broadcast("reentrant");
+          }
+        }));
+  }
+  // A fixed LCG rather than sim::Rng: the golden must not depend on the
+  // standard library's distribution implementation.
+  std::uint64_t lcg = 0x5eed;
+  const auto next = [&lcg](std::uint64_t bound) {
+    lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
+    return (lcg >> 33) % bound;
+  };
+  for (int k = 0; k < 36; ++k) {
+    nodes[next(3)]->broadcast("w" + std::to_string(k));
+    if (next(3) == 0) transport.pump();
+  }
+  std::vector<sim::Message> run(transport.captured.begin(),
+                                transport.captured.end());
+  transport.captured.clear();
+  ASSERT_EQ(run.size(), 36u);
+  // Window-bounded shuffle: each wire moves at most 6 places, so gaps
+  // open and fill many times instead of the whole run waiting on one.
+  for (std::size_t i = run.size(); i-- > 1;) {
+    const std::size_t lo = i > 6 ? i - 6 : 0;
+    std::swap(run[i], run[lo + next(i - lo + 1)]);
+  }
+  std::size_t multi_origin_releases = 0;
+  for (const sim::Message& m : run) {
+    const std::size_t before = order.size();
+    transport.feed(m);
+    std::set<sim::NodeId> origins;
+    for (std::size_t j = before; j < order.size(); ++j) {
+      if (order[j].first != 3) origins.insert(order[j].first);
+    }
+    if (origins.size() > 1) ++multi_origin_releases;
+  }
+  EXPECT_GE(multi_origin_releases, 3u);
+  EXPECT_GE(own_overtaken, 1u);
+  EXPECT_EQ(nodes[3]->total_delivered(), 36u + nodes[3]->own_issued());
+  std::string got;
+  for (const auto& [origin, seq] : order) {
+    got += std::to_string(origin) + "." + std::to_string(seq) + " ";
+  }
+  const std::string golden =
+      "1.1 1.2 1.3 1.4 0.1 3.1 1.5 1.6 2.1 1.7 3.2 2.2 2.3 2.4 1.8 3.3 0.2 "
+      "1.9 0.3 0.4 3.4 2.5 2.6 0.5 1.10 3.5 1.11 1.12 2.7 0.6 1.13 3.6 1.14 "
+      "2.8 1.15 3.7 2.9 2.10 2.11 0.7 3.8 2.12 1.16 1.17 ";
+  EXPECT_EQ(got, golden);
 }
 
 TEST(Broadcast, DeliveredVectorTracksPerOriginCounts) {

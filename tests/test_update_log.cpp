@@ -5,6 +5,7 @@
 // run according to the global timestamp order").
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "apps/airline/airline.hpp"
@@ -176,14 +177,14 @@ TEST(UpdateLog, CompactionShiftsCheckpointsIncrementally) {
 
 TEST(UpdateLog, GeometricThinningBoundsSnapshots) {
   // max_checkpoints = 4 with interval 4 over 200 tail appends: unbounded
-  // mode would retain ~50 snapshots; geometric thinning keeps a handful,
-  // dense near the tail and sparse near the base.
+  // mode would retain ~50 snapshots; thinning keeps at most 4, dense near
+  // the tail and sparse near the base.
   Log log(4, 4);
   for (std::size_t i = 0; i < 200; ++i) {
     log.insert({Timestamp{i + 1, 0},
                 req(static_cast<apps::airline::Person>(i % 7 + 1))});
   }
-  EXPECT_LE(log.checkpoints_retained(), 10u);
+  EXPECT_LE(log.checkpoints_retained(), 4u);
   EXPECT_GT(log.stats().checkpoints_thinned, 0u);
   EXPECT_EQ(log.state(), log.recompute_naive());
   // Mid-inserts at early positions fall back to the sparse snapshots (or
@@ -208,7 +209,71 @@ TEST(UpdateLog, ThinningComposesWithCompaction) {
   }
   log.insert({Timestamp{80, 1}, cancel(2)});
   EXPECT_EQ(log.state(), log.recompute_naive());
-  EXPECT_LE(log.checkpoints_retained(), 10u);
+  EXPECT_LE(log.checkpoints_retained(), 4u);
+}
+
+TEST(UpdateLog, BoundedReplayIsProportionalToDisplacement) {
+  // With the count bounded (interval 32, at most 8 snapshots), a
+  // mid-insert displacing d entries must still find a snapshot close below
+  // it: replay stays within 3d + interval, however deep the insert lands.
+  constexpr std::size_t kN = 4000, kInterval = 32;
+  for (const std::size_t d : {20, 50, 100, 200, 500, 1000, 2000, 3000}) {
+    Log log(kInterval, 8);
+    for (std::size_t i = 0; i < kN; ++i) {
+      log.insert({Timestamp{2 * (i + 1), 0},
+                  req(static_cast<apps::airline::Person>(i % 11 + 1))});
+    }
+    ASSERT_LE(log.checkpoints_retained(), 8u);
+    const auto redo_before = log.stats().redone_updates;
+    // Lands just below entry kN - d, displacing exactly d entries.
+    log.insert({Timestamp{2 * (kN - d) + 1, 1}, cancel(3)});
+    ASSERT_EQ(log.stats().undone_updates, d);
+    const auto replayed = log.stats().redone_updates - redo_before;
+    EXPECT_LE(replayed, 3 * d + kInterval) << "d = " << d;
+    EXPECT_LE(log.checkpoints_retained(), 8u) << "d = " << d;
+    EXPECT_EQ(log.state(), log.recompute_naive()) << "d = " << d;
+  }
+}
+
+TEST(UpdateLog, CheckpointCountNeverExceedsTheBound) {
+  // Strict bound: after every insert, compaction and truncation the
+  // snapshot count (base included) stays within max_checkpoints — also at
+  // the degenerate bounds 1 (base only) and 2 (base + newest).
+  for (const std::size_t max : {1u, 2u, 3u, 5u, 8u}) {
+    sim::Rng rng(max);
+    Log log(4, max);
+    std::uint64_t next_ts = 1;
+    for (std::size_t step = 0; step < 600; ++step) {
+      const auto p = static_cast<apps::airline::Person>(rng.uniform_int(1, 9));
+      // Mostly in-order appends, with some late arrivals landing up to 40
+      // timestamps back (above the compaction base).
+      const std::uint64_t back = static_cast<std::uint64_t>(
+          rng.bernoulli(0.3) ? rng.uniform_int(1, 40) : 0);
+      const std::uint64_t floor = log.base_cut().logical + 1;
+      const std::uint64_t ts = std::max(next_ts - std::min(back, next_ts),
+                                        floor);
+      const Timestamp t{ts, static_cast<core::NodeId>(step % 7 + 1)};
+      if (!log.contains(t) && !(t < log.base_cut())) log.insert({t, req(p)});
+      ++next_ts;
+      ASSERT_LE(log.checkpoints_retained(), max) << "max " << max;
+      if (step % 150 == 149) {
+        log.compact_before(Timestamp{next_ts - 60, 0});
+        ASSERT_LE(log.checkpoints_retained(), max) << "max " << max;
+      }
+      if (step % 200 == 199 && log.size() > 10) {
+        log.truncate_suffix(log.size() - 10);
+        ASSERT_LE(log.checkpoints_retained(), max) << "max " << max;
+      }
+      ASSERT_EQ(log.state(), log.recompute_naive()) << "max " << max;
+    }
+    if (max == 1) {
+      // The base fills the bound: no snapshot is copied only to be dropped.
+      EXPECT_EQ(log.stats().checkpoints_taken, 0u);
+      EXPECT_EQ(log.stats().checkpoints_thinned, 0u);
+    } else {
+      EXPECT_GT(log.stats().checkpoints_thinned, 0u) << "max " << max;
+    }
+  }
 }
 
 using AosLog = shard::UpdateLog<SmallAirline, shard::LogLayout::kAoS>;
