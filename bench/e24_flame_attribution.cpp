@@ -1,18 +1,18 @@
-// E24 — epoch-aware flame attribution and sharded-tracer equivalence.
+// E24 — epoch-aware flame attribution and the sharded tracer's stream.
 //
 // Two claims are gated here. First, attribution: segmenting the canonical
 // crash-chaos run into partition epochs and folding every update's causal
 // chain into stage-weighted flame trees (obs/epoch.hpp + obs/flame.hpp)
 // yields deterministic numbers — same (seed, config), same epoch census,
 // same stage weights, same folded-stack bytes — so the latency-attribution
-// pipeline itself is pinned against its committed baseline. Second,
-// equivalence: the per-node sharded tracer's merged stream must be
-// byte-identical to the legacy single-ring tracer's for the same seed
-// (serialize() bytes compared both ways: sink capture and k-way ring
-// merge), so sharding is a pure representation change.
+// pipeline itself is pinned against its committed baseline. Second, the
+// stream: the per-node tracer's k-way ring merge must reconstruct the sink
+// capture byte for byte, and each seed's capture is pinned by its
+// obs::digest (trace_digest, gated exactly against the baseline).
 //
-// Output: one JSON document — per-seed attribution census + equivalence
-// booleans + the merged metrics registry (the epoch.* family included).
+// Output: one JSON document — per-seed attribution census + stream
+// digest and booleans + the merged metrics registry (the epoch.* family
+// included).
 // The stdout JSON is a pure function of the seeds (the repo-wide
 // determinism probe runs this twice and cmp's); wall-clock flame-tree
 // build times go to stderr and are never gated. With an argument, writes
@@ -68,9 +68,8 @@ struct Run {
   obs::MetricsRegistry metrics;
 };
 
-Run run_once(std::uint64_t seed, bool sharded) {
+Run run_once(std::uint64_t seed) {
   harness::Scenario sc = canonical();
-  sc.trace.sharded = sharded;
   shard::Cluster<Air> cluster(sc.cluster_config<Air>(seed));
   obs::VectorSink capture;
   cluster.tracer()->add_sink(&capture);
@@ -99,8 +98,8 @@ struct SeedResult {
   std::size_t updates_profiled = 0;
   std::size_t updates_complete = 0;
   std::size_t folded_bytes = 0;
+  std::uint64_t trace_digest = 0;       ///< obs::digest of the capture
   bool merged_matches_capture = false;  ///< k-way merge == record order
-  bool sharded_matches_legacy = false;  ///< sharded bytes == legacy bytes
   bool clean = true;                    ///< causal validator verdict
 };
 
@@ -113,25 +112,21 @@ int main(int argc, char** argv) {
   obs::MetricsRegistry reg;
 
   for (const std::uint64_t seed : kSeeds) {
-    const Run sharded = run_once(seed, /*sharded=*/true);
-    const Run legacy = run_once(seed, /*sharded=*/false);
+    const Run run = run_once(seed);
 
     SeedResult r;
     r.seed = seed;
-    r.events = sharded.capture.size();
-    // Equivalence gates: the sharded capture must match the legacy capture
-    // byte-for-byte, and the sharded tracer's k-way ring merge must
-    // reconstruct that same global record order.
-    r.sharded_matches_legacy =
-        obs::serialize(sharded.capture) == obs::serialize(legacy.capture);
+    r.events = run.capture.size();
+    r.trace_digest = obs::digest(run.capture);
+    // The k-way ring merge must reconstruct the global record order.
     r.merged_matches_capture =
-        obs::serialize(sharded.merged) == obs::serialize(sharded.capture);
+        obs::serialize(run.merged) == obs::serialize(run.capture);
 
     const auto t0 = std::chrono::steady_clock::now();
-    const obs::EpochIndex epochs = obs::EpochIndex::build(sharded.capture);
-    const obs::CausalGraph graph = obs::CausalGraph::build(sharded.capture);
+    const obs::EpochIndex epochs = obs::EpochIndex::build(run.capture);
+    const obs::CausalGraph graph = obs::CausalGraph::build(run.capture);
     const obs::FlameProfile flame =
-        obs::FlameProfile::build(sharded.capture, graph, epochs);
+        obs::FlameProfile::build(run.capture, graph, epochs);
     const auto t1 = std::chrono::steady_clock::now();
     // Wall clock: stderr only, so stdout stays seed-deterministic.
     std::fprintf(stderr, "seed %llx: flame build %.3f ms\n",
@@ -148,7 +143,7 @@ int main(int argc, char** argv) {
     const std::string folded = flame.folded();
     r.folded_bytes = folded.size();
     rows.push_back(r);
-    reg.merge_from(sharded.metrics);
+    reg.merge_from(run.metrics);
 
     if (!artifact_dir.empty()) {
       char name[64];
@@ -169,20 +164,19 @@ int main(int argc, char** argv) {
   std::printf("  \"rows\": [\n");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const SeedResult& r = rows[i];
-    all_ok = all_ok && r.merged_matches_capture && r.sharded_matches_legacy &&
-             r.clean;
+    all_ok = all_ok && r.merged_matches_capture && r.clean;
     std::printf(
         "    {\"seed\": %llu, \"events\": %zu, \"epochs\": %zu, "
         "\"transitions\": %llu, \"coalesced\": %llu, "
         "\"updates_profiled\": %zu, \"updates_complete\": %zu, "
-        "\"folded_bytes\": %zu, \"merged_matches_capture\": %s, "
-        "\"sharded_matches_legacy\": %s, \"clean\": %s}%s\n",
+        "\"folded_bytes\": %zu, \"trace_digest\": \"0x%016llx\", "
+        "\"merged_matches_capture\": %s, \"clean\": %s}%s\n",
         static_cast<unsigned long long>(r.seed), r.events, r.epochs,
         static_cast<unsigned long long>(r.transitions),
         static_cast<unsigned long long>(r.coalesced), r.updates_profiled,
         r.updates_complete, r.folded_bytes,
+        static_cast<unsigned long long>(r.trace_digest),
         r.merged_matches_capture ? "true" : "false",
-        r.sharded_matches_legacy ? "true" : "false",
         r.clean ? "true" : "false",
         i + 1 < rows.size() ? "," : "");
   }

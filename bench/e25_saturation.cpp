@@ -1,5 +1,4 @@
-// E25 — open-loop saturation: SoA log + batched floods vs the AoS /
-// unbatched ablations.
+// E25 — open-loop saturation: batched floods vs the unbatched ablation.
 //
 // An open-loop driver offers load the cluster cannot push back on: each
 // simulated tick submits a burst of requests in ONE scheduler dispatch (the
@@ -13,27 +12,29 @@
 //     accumulator (no libm in the arrival path, so the schedule is
 //     bit-identical on every machine).
 //
-// The SAME precomputed schedule drives three rows:
+// The SAME precomputed schedule drives two rows:
 //
-//   soa-batched      SoA/arena UpdateLog, max_batch = 8   (the optimized path)
-//   soa-unbatched    SoA/arena UpdateLog, max_batch = 0   (batching ablation)
-//   aos-unbatched    AoS UpdateLog,       max_batch = 0   (the old hot path)
+//   soa-batched      max_batch = 8   (batched floods + group commit)
+//   soa-unbatched    max_batch = 0   (batching ablation)
+//
+// Both run the struct-of-arrays UpdateLog, the only log layout; the row
+// names keep the prefix the baselines and perfbench refer to.
 //
 // Everything simulated is deterministic per row — txs, packet and batch
 // counters, merge work, retention footprints, convergence — and gated by
 // compare_bench.py e25 against bench/baselines/BENCH_e25.json. Each row
-// runs kPasses times, round-robin with the other rows, and the simulated
+// runs kPasses times, round-robin with the other row, and the simulated
 // side must repeat exactly (counters_repeat). A row reports its median
 // pass. On a 4-core host whose speed drifts both ways by up to ~1.3x in
 // spells of seconds, taking each row's fastest pass let one lucky pass of
 // the slow row sink the speedup below its floor in 2 of 18 runs; the
 // median of 5 did not in 11.
 // Wall-clock saturation throughput (tx/s/node) and the derived
-// speedup_vs_aos_unbatched are machine-dependent and reported; the gate
-// only enforces the speedup floor (>= 1.5x, the constant-factor claim) —
-// a within-run ratio of the same binary on the same machine, like e10's.
-// A standalone merge replay (sliding-window disorder over 20k entries)
-// reports p50/p99 single-insert merge latency for both layouts.
+// speedup_vs_unbatched are machine-dependent and reported; the gate only
+// enforces the speedup floor (>= 1.5x, the batching claim) — a within-run
+// ratio of the same binary on the same machine, like e10's. A standalone
+// merge replay (sliding-window disorder over 20k entries) reports p50/p99
+// single-insert merge latency.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -139,7 +140,6 @@ constexpr std::size_t kPasses = 5;  // Odd, so the median is one pass.
 struct Row {
   const char* mode;
   std::size_t max_batch;
-  const char* layout;
   bool converged = false;
   bool decisions_ok = false;
   bool counters_repeat = true;
@@ -150,8 +150,7 @@ struct Row {
   std::string metrics_json;
 };
 
-template <shard::LogLayout Layout>
-Row run_row(const char* mode, const char* layout, std::size_t max_batch,
+Row run_row(const char* mode, std::size_t max_batch,
             const std::vector<std::vector<Submission>>& schedule,
             std::size_t total) {
   harness::Scenario sc = harness::wan(kNodes);
@@ -160,7 +159,7 @@ Row run_row(const char* mode, const char* layout, std::size_t max_batch,
   sc.max_checkpoints = 8;
   shard::ClusterConfig cfg = sc.cluster_config<Air>(kSeed ^ 0x5a7);
   cfg.broadcast.max_batch = max_batch;
-  shard::Cluster<Air, Layout> cluster(cfg);
+  shard::Cluster<Air> cluster(cfg);
 
   for (std::size_t k = 0; k < kTicks; ++k) {
     if (schedule[k].empty()) continue;
@@ -182,7 +181,6 @@ Row run_row(const char* mode, const char* layout, std::size_t max_batch,
   Row row;
   row.mode = mode;
   row.max_batch = max_batch;
-  row.layout = layout;
   row.converged = cluster.converged();
   row.decisions_ok = cluster.aggregate_engine_stats().decisions_run == total;
   row.pass_wall_seconds.push_back(wall);
@@ -214,7 +212,7 @@ void add_pass(std::vector<Row>& rows, std::size_t i, Row pass) {
 }
 
 // ---------------------------------------------------------------------------
-// Standalone merge replay: single-insert latency per layout
+// Standalone merge replay: single-insert latency
 // ---------------------------------------------------------------------------
 
 struct ReplayStats {
@@ -243,13 +241,12 @@ std::vector<std::size_t> replay_order() {
   return order;
 }
 
-template <shard::LogLayout Layout>
 ReplayStats run_replay(const std::vector<std::size_t>& order) {
   // Dense checkpoints (no geometric thinning): a mid-insert replays at most
-  // one interval past its displacement, so the timing isolates the layout's
+  // one interval past its displacement, so the timing isolates the log's
   // scan + shift cost rather than checkpoint-placement policy.
-  shard::UpdateLog<Air, Layout> log(/*checkpoint_interval=*/32,
-                                    /*max_checkpoints=*/0);
+  shard::UpdateLog<Air> log(/*checkpoint_interval=*/32,
+                            /*max_checkpoints=*/0);
   std::vector<double> ns;
   ns.reserve(order.size());
   double total = 0.0;
@@ -293,15 +290,8 @@ int main() {
   // slows every row's pass instead of all of one row's passes.
   std::vector<Row> rows;
   for (std::size_t pass = 0; pass < kPasses; ++pass) {
-    add_pass(rows, 0,
-             run_row<shard::LogLayout::kSoA>("soa-batched", "soa", 8,
-                                             schedule, total));
-    add_pass(rows, 1,
-             run_row<shard::LogLayout::kSoA>("soa-unbatched", "soa", 0,
-                                             schedule, total));
-    add_pass(rows, 2,
-             run_row<shard::LogLayout::kAoS>("aos-unbatched", "aos", 0,
-                                             schedule, total));
+    add_pass(rows, 0, run_row("soa-batched", 8, schedule, total));
+    add_pass(rows, 1, run_row("soa-unbatched", 0, schedule, total));
   }
   for (Row& r : rows) {
     std::vector<double> walls = r.pass_wall_seconds;
@@ -312,7 +302,7 @@ int main() {
   }
 
   // Convergence is order-independent (same merged set, same timestamp
-  // order), so all three rows must land on identical replica states.
+  // order), so both rows must land on identical replica states.
   bool rows_agree = true;
   for (const Row& r : rows) {
     for (std::size_t n = 0; n < kNodes; ++n) {
@@ -320,11 +310,9 @@ int main() {
     }
   }
   const double speedup =
-      rows[0].tx_per_sec_per_node / rows[2].tx_per_sec_per_node;
+      rows[0].tx_per_sec_per_node / rows[1].tx_per_sec_per_node;
 
-  const std::vector<std::size_t> order = replay_order();
-  const ReplayStats soa = run_replay<shard::LogLayout::kSoA>(order);
-  const ReplayStats aos = run_replay<shard::LogLayout::kAoS>(order);
+  const ReplayStats replay = run_replay(replay_order());
 
   std::printf("{\n  \"experiment\": \"e25_saturation\",\n");
   std::printf("  \"nodes\": %zu, \"ticks\": %zu, \"horizon\": %.2f,\n",
@@ -332,16 +320,13 @@ int main() {
   std::printf("  \"zipf_keys\": %zu, \"txs\": %zu, \"passes\": %zu,\n",
               kZipfKeys, total, kPasses);
   std::printf("  \"rows_agree\": %s,\n", rows_agree ? "true" : "false");
-  std::printf("  \"speedup_vs_aos_unbatched\": %.3f,\n", speedup);
+  std::printf("  \"speedup_vs_unbatched\": %.3f,\n", speedup);
   std::printf("  \"merge_replay\": {\n");
   std::printf("    \"entries\": %zu, \"window\": %zu,\n", kReplayEntries,
               kReplayWindow);
   std::printf("    \"soa\": {\"p50_us\": %.3f, \"p99_us\": %.3f, "
-              "\"total_ms\": %.2f},\n",
-              soa.p50_us, soa.p99_us, soa.total_ms);
-  std::printf("    \"aos\": {\"p50_us\": %.3f, \"p99_us\": %.3f, "
               "\"total_ms\": %.2f}\n  },\n",
-              aos.p50_us, aos.p99_us, aos.total_ms);
+              replay.p50_us, replay.p99_us, replay.total_ms);
   // The offered-load curve (deterministic), bucketed per simulated second —
   // CI renders this as the throughput-curve artifact.
   std::printf("  \"curve\": [");
@@ -357,9 +342,8 @@ int main() {
   std::printf("  \"rows\": [\n");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
-    std::printf("    {\"mode\": \"%s\", \"layout\": \"%s\", "
-                "\"max_batch\": %zu,\n",
-                r.mode, r.layout, r.max_batch);
+    std::printf("    {\"mode\": \"%s\", \"max_batch\": %zu,\n", r.mode,
+                r.max_batch);
     std::printf("     \"converged\": %s, \"decisions_ok\": %s, "
                 "\"counters_repeat\": %s,\n",
                 r.converged ? "true" : "false",

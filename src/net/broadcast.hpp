@@ -28,7 +28,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -39,7 +38,6 @@
 #include "net/broadcast_stats.hpp"
 #include "obs/tracer.hpp"
 #include "runtime/api.hpp"
-#include "runtime/sim_backend.hpp"
 #include "sim/fault_plan.hpp"
 #include "sim/network.hpp"
 
@@ -143,32 +141,6 @@ class ReliableBroadcast {
                     DeliverFn deliver)
       : exec_(&executor),
         net_(&transport),
-        self_(self),
-        options_(options),
-        rng_(seed),
-        deliver_(std::move(deliver)),
-        delivered_count_(cluster_size, 0),
-        store_(cluster_size),
-        seen_extra_(cluster_size) {
-    net_->register_node(self_,
-                        [this](const sim::Message& m) { on_message(m); });
-  }
-
-  /// One-release adapter for the pre-runtime constructor: wraps the
-  /// concrete simulator objects in owned SimBackend adapters. Behaviorally
-  /// identical to constructing against network.scheduler()/network through
-  /// the runtime API (the adapters forward 1:1).
-  [[deprecated(
-      "construct with (runtime::Executor&, runtime::Transport&) — the "
-      "sim::Network& form is a one-release adapter")]]
-  ReliableBroadcast(sim::Network& network, sim::NodeId self,
-                    std::size_t cluster_size, BroadcastOptions options,
-                    std::uint64_t seed, DeliverFn deliver)
-      : owned_exec_(std::make_unique<runtime::SimExecutor>(
-            network.scheduler())),
-        owned_net_(std::make_unique<runtime::SimTransport>(network)),
-        exec_(owned_exec_.get()),
-        net_(owned_net_.get()),
         self_(self),
         options_(options),
         rng_(seed),
@@ -806,10 +778,6 @@ class ReliableBroadcast {
     }
   }
 
-  /// Owned backend adapters for the deprecated sim::Network& constructor;
-  /// null when the caller supplied the runtime interfaces directly.
-  std::unique_ptr<runtime::SimExecutor> owned_exec_;
-  std::unique_ptr<runtime::SimTransport> owned_net_;
   runtime::Executor* exec_;
   runtime::Transport* net_;
   sim::NodeId self_;

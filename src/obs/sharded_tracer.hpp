@@ -13,10 +13,9 @@
 // global sequence number, so merging the shard rings by (time, seq) —
 // sequence breaks ties within one simulated instant — reconstructs exactly
 // the interleaved global record order. In the deterministic single-threaded
-// simulator the stamp IS the record index, which is what makes the merged
-// stream byte-identical to the legacy global tracer's for the same (seed,
-// configuration); the determinism tiers pin this on every chaos and
-// crash-chaos seed. On a real runtime the same merge works off a hybrid
+// simulator the stamp IS the record index, so the merged stream is the
+// record order itself (the chaos and crash-chaos tiers pin it against the
+// sink capture). On a real runtime the same merge works off a hybrid
 // logical clock in place of the counter.
 //
 // Sinks attached through the TraceSource surface are fanned out to every

@@ -161,6 +161,15 @@ std::string serialize(const std::vector<Event>& events) {
   return os.str();
 }
 
+std::uint64_t digest(const std::vector<Event>& events) {
+  std::uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a-64 offset basis
+  for (const char c : serialize(events)) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ull;  // FNV-1a-64 prime
+  }
+  return h;
+}
+
 bool event_type_from_name(std::string_view name, EventType& out) {
   for (std::size_t i = 0; i < kNumEventTypes; ++i) {
     if (kEventTypeNames[i] == name) {

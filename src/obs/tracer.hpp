@@ -12,11 +12,12 @@
 // the same order for a given (seed, configuration) — which is what makes
 // the trace stream itself a determinism witness.
 //
-// Two shapes implement the read-side surface (TraceSource): the classic
-// single global Tracer, and ShardedTracer (sharded_tracer.hpp) — one ring
-// per node, merged on demand. Components always record through a concrete
-// Tracer* (their own shard, in sharded mode); only consumers that *read*
-// the stream (trace dumps, exporters, pinning) go through the interface.
+// Two shapes implement the read-side surface (TraceSource): a single
+// Tracer, and ShardedTracer (sharded_tracer.hpp) — one Tracer ring per
+// node, merged on demand; both cluster drivers trace through the latter.
+// Components always record through a concrete Tracer* (their own shard);
+// only consumers that *read* the stream (trace dumps, exporters, pinning)
+// go through the interface.
 #pragma once
 
 #include <atomic>
@@ -51,16 +52,10 @@ class VectorSink : public Sink {
 /// harness::Scenario).
 struct TraceOptions {
   bool enabled = false;
-  /// Ring capacity in events; oldest events are overwritten when full. In
-  /// sharded mode this is the capacity of EACH per-node ring (a node's
-  /// recent history is never evicted by another node's chatter).
+  /// Capacity in events of EACH per-node ring of the cluster's
+  /// obs::ShardedTracer (a node's recent history is never evicted by
+  /// another node's chatter); oldest events are overwritten when full.
   std::size_t ring_capacity = 8192;
-  /// Per-node trace shards (obs::ShardedTracer) with a deterministic merge
-  /// into the global event order — the shape a real multi-node runtime
-  /// needs. false falls back to the single global ring; both produce the
-  /// same stream for the same (seed, configuration), sink-for-sink and
-  /// byte-for-byte (the determinism tiers pin this).
-  bool sharded = true;
 };
 
 /// A ring slice captured at the moment a violation was detected, keyed by
@@ -82,9 +77,9 @@ class TraceSource {
  public:
   virtual ~TraceSource() = default;
 
-  /// Attach a sink (non-owning; must outlive the source's last record). In
-  /// sharded mode the sink observes the global interleaved record order —
-  /// shard dispatch is synchronous, so order is preserved.
+  /// Attach a sink (non-owning; must outlive the source's last record). On
+  /// a ShardedTracer the sink observes the global interleaved record order
+  /// — shard dispatch is synchronous, so order is preserved.
   virtual void add_sink(Sink* sink) = 0;
 
   /// Events recorded over the source's lifetime (>= ring_size()).
@@ -168,7 +163,7 @@ class Tracer : public TraceSource {
  private:
   std::size_t capacity_;
   std::vector<Event> buf_;
-  std::vector<std::uint64_t> seq_buf_;  ///< parallel to buf_ (sharded mode)
+  std::vector<std::uint64_t> seq_buf_;  ///< parallel to buf_ (if sequenced)
   std::size_t head_ = 0;  ///< Next write position.
   bool full_ = false;
   std::uint64_t recorded_ = 0;
@@ -184,6 +179,10 @@ class Tracer : public TraceSource {
 /// regression compares these bytes across same-seed runs, and the
 /// trace-diff tool exchanges streams through this format.
 std::string serialize(const std::vector<Event>& events);
+
+/// FNV-1a-64 hash of serialize(events): a stream's identity in one number,
+/// for golden pins and bench rows that cannot carry the bytes themselves.
+std::uint64_t digest(const std::vector<Event>& events);
 
 /// Inverse of event_type_name. Returns true and sets `out` on a known
 /// name; returns false (out untouched) otherwise.

@@ -25,7 +25,6 @@
 #include <chrono>
 #include <cstdint>
 #include <future>
-#include <map>
 #include <memory>
 #include <thread>
 #include <utility>
@@ -38,6 +37,7 @@
 #include "runtime/hooks.hpp"
 #include "runtime/threaded_backend.hpp"
 #include "runtime/validate.hpp"
+#include "shard/cluster_common.hpp"
 #include "shard/node.hpp"
 #include "sim/rng.hpp"
 
@@ -60,11 +60,10 @@ struct RealtimeConfig {
   bool trace_dispatch = false;
 };
 
-template <core::Application App,
-          shard::LogLayout Layout = shard::LogLayout::kSoA>
+template <core::Application App>
 class RealtimeCluster {
  public:
-  using NodeT = shard::Node<App, Layout>;
+  using NodeT = shard::Node<App>;
   using Request = typename App::Request;
 
   explicit RealtimeCluster(RealtimeConfig config)
@@ -76,26 +75,11 @@ class RealtimeCluster {
           return bus;
         }()),
         tracer_(config_.num_nodes, config_.ring_capacity) {
+    // One writer per shard: dispatch fires on the executing worker, fates
+    // on the event's program-order side (the Hooks threading contract).
     Hooks hooks;
-    // One writer per shard: dispatch fires on the executing worker and
-    // lands in that worker's shard; fates fire on the event's program-
-    // order side (send-side at the source, delivery-side at the
-    // destination) — the Hooks threading contract.
-    if (config_.trace_dispatch) {
-      hooks.on_dispatch = [this](NodeId worker, Time t, std::uint64_t id) {
-        tracer_.shard(worker).record(obs::EventType::kSchedulerDispatch, t,
-                                     worker, 0, 0, id);
-      };
-    }
-    hooks.on_message_fate = [this](NodeId src, NodeId dst, std::uint64_t id,
-                                   MessageFate fate) {
-      const obs::EventType type = fate_event_type(fate);
-      const bool at_dst = type == obs::EventType::kNetDeliver ||
-                          (type == obs::EventType::kNetDropCrashed && id != 0);
-      tracer_.shard(at_dst ? dst : src)
-          .record(type, backend_.now(), at_dst ? dst : src, 0, 0,
-                  at_dst ? src : dst, id);
-    };
+    shard::trace_hooks(hooks, tracer_, [this] { return backend_.now(); },
+                       config_.trace_dispatch);
     backend_.set_hooks(std::move(hooks));
     sim::Rng master(config_.seed);
     master.fork_seed();  // parity with Cluster: first fork is the network's
@@ -167,55 +151,15 @@ class RealtimeCluster {
   obs::ShardedTracer& tracer() { return tracer_; }
 
   std::uint64_t total_originated() const {
-    std::uint64_t total = 0;
-    for (const auto& n : nodes_) total += n->originated().size();
-    return total;
+    return shard::total_originated(nodes_);
   }
-
-  bool converged() const {
-    const std::uint64_t total = total_originated();
-    for (const auto& n : nodes_) {
-      if (n->updates_known() != total) return false;
-    }
-    for (std::size_t i = 1; i < nodes_.size(); ++i) {
-      if (!(nodes_[i]->state() == nodes_[0]->state())) return false;
-    }
-    return true;
-  }
-
+  bool converged() const { return shard::converged(nodes_); }
   core::PrefixRef::Resolver prefix_resolver() const {
-    return [this](core::NodeId origin, std::uint64_t origin_seq) {
-      return nodes_.at(origin)->originated().at(origin_seq - 1).ts;
-    };
+    return shard::prefix_resolver(nodes_);
   }
-
-  /// Assemble the formal execution — identical shape to
-  /// shard::Cluster::execution(), so the whole analysis stack applies.
-  core::Execution<App> execution() const {
-    std::map<core::Timestamp, const typename NodeT::Record*> by_ts;
-    for (const auto& n : nodes_) {
-      for (const auto& rec : n->originated()) by_ts.emplace(rec.ts, &rec);
-    }
-    std::map<core::Timestamp, std::size_t> index_of;
-    std::size_t next = 0;
-    for (const auto& [ts, rec] : by_ts) index_of.emplace(ts, next++);
-    const core::PrefixRef::Resolver resolve = prefix_resolver();
-    core::Execution<App> exec;
-    for (const auto& [ts, rec] : by_ts) {
-      core::TxInstance<App> tx;
-      tx.ts = rec->ts;
-      tx.origin = rec->origin;
-      tx.real_time = rec->real_time;
-      tx.request = rec->request;
-      tx.update = rec->update;
-      tx.external_actions = rec->external_actions;
-      const std::vector<core::Timestamp> pts = rec->prefix.expand(resolve);
-      tx.prefix.reserve(pts.size());
-      for (const core::Timestamp& p : pts) tx.prefix.push_back(index_of.at(p));
-      exec.append(std::move(tx));
-    }
-    return exec;
-  }
+  /// The formal execution — the same assembly as shard::Cluster's, so the
+  /// whole analysis stack applies.
+  core::Execution<App> execution() const { return shard::execution(nodes_); }
 
   /// The merged trace (per-node shards interleaved by the shared stamp).
   std::vector<obs::Event> trace() const { return tracer_.ring(); }
@@ -274,22 +218,6 @@ class RealtimeCluster {
       if (!(states[i] == states[0])) return false;
     }
     return true;
-  }
-
-  static obs::EventType fate_event_type(MessageFate fate) {
-    switch (fate) {
-      case MessageFate::kSent:
-        return obs::EventType::kNetSend;
-      case MessageFate::kDelivered:
-        return obs::EventType::kNetDeliver;
-      case MessageFate::kDroppedPartition:
-        return obs::EventType::kNetDropPartition;
-      case MessageFate::kDroppedRandom:
-        return obs::EventType::kNetDropRandom;
-      case MessageFate::kDroppedCrashed:
-        return obs::EventType::kNetDropCrashed;
-    }
-    return obs::EventType::kNetSend;  // unreachable
   }
 
   RealtimeConfig config_;

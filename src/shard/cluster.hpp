@@ -28,6 +28,7 @@
 #include "obs/tracer.hpp"
 #include "runtime/hooks.hpp"
 #include "runtime/sim_backend.hpp"
+#include "shard/cluster_common.hpp"
 #include "shard/node.hpp"
 #include "sim/fault_plan.hpp"
 #include "sim/network.hpp"
@@ -35,10 +36,9 @@
 
 namespace shard {
 
-/// Cluster configuration. Deliberately App- and layout-independent (a plain
-/// struct, not a nested template member): one config value constructs a
-/// Cluster of any application and either log layout, so the differential
-/// and ablation harnesses (SoA vs AoS) drive byte-identical setups.
+/// Cluster configuration. Deliberately App-independent (a plain struct, not
+/// a nested template member): one config value constructs a Cluster of any
+/// application.
 struct ClusterConfig {
   std::size_t num_nodes = 3;
   sim::Network::Config network;
@@ -83,10 +83,10 @@ struct MetricsSample {
   obs::MetricsRegistry metrics;
 };
 
-template <core::Application App, LogLayout Layout = LogLayout::kSoA>
+template <core::Application App>
 class Cluster {
  public:
-  using NodeT = Node<App, Layout>;
+  using NodeT = Node<App>;
   using Request = typename App::Request;
   using Config = ClusterConfig;
 
@@ -106,17 +106,11 @@ class Cluster {
     }
     validate_faults();
     if (config_.trace.enabled) {
-      // Sharded (the default): one bounded ring per node plus a control
-      // shard, merged on demand; legacy mode keeps the single global ring
-      // (the byte-identity differential pins the two against each other).
-      if (config_.trace.sharded) {
-        sharded_ = std::make_unique<obs::ShardedTracer>(
-            config_.num_nodes, config_.trace.ring_capacity);
-      } else {
-        tracer_ = std::make_unique<obs::Tracer>(config_.trace.ring_capacity);
-      }
+      // One bounded ring per node plus a control shard, merged on demand.
+      tracer_ = std::make_unique<obs::ShardedTracer>(
+          config_.num_nodes, config_.trace.ring_capacity);
       lifecycle_ = std::make_unique<obs::LifecycleTracker>(config_.num_nodes);
-      trace_source()->add_sink(lifecycle_.get());
+      tracer_->add_sink(lifecycle_.get());
     }
     network_ = std::make_unique<sim::Network>(
         scheduler_, config_.network, master_rng_.fork_seed());
@@ -132,14 +126,14 @@ class Cluster {
       const auto& cuts = config_.network.partitions.events();
       for (std::size_t k = 0; k < cuts.size(); ++k) {
         scheduler_.schedule_at(cuts[k].start, [this, k] {
-          control_tracer()->record(obs::EventType::kPartitionOpen,
-                                   scheduler_.now(), obs::kControlNode, 0, 0,
-                                   k);
+          tracer_->control_shard().record(obs::EventType::kPartitionOpen,
+                                          scheduler_.now(), obs::kControlNode,
+                                          0, 0, k);
         });
         scheduler_.schedule_at(cuts[k].end, [this, k] {
-          control_tracer()->record(obs::EventType::kPartitionHeal,
-                                   scheduler_.now(), obs::kControlNode, 0, 0,
-                                   k);
+          tracer_->control_shard().record(obs::EventType::kPartitionHeal,
+                                          scheduler_.now(), obs::kControlNode,
+                                          0, 0, k);
         });
       }
     }
@@ -149,7 +143,8 @@ class Cluster {
           backend_->executor(static_cast<runtime::NodeId>(i)),
           backend_->transport(), config_.num_nodes, config_.broadcast,
           config_.checkpoint_interval, master_rng_.fork_seed(),
-          config_.compaction, node_tracer(static_cast<sim::NodeId>(i)),
+          config_.compaction,
+          tracer_ ? &tracer_->shard(static_cast<sim::NodeId>(i)) : nullptr,
           config_.max_checkpoints));
     }
     for (auto& n : nodes_) n->start();
@@ -240,68 +235,16 @@ class Cluster {
 
   /// Every node knows every update (and therefore, by the merge invariant,
   /// every replica state is identical) — the paper's mutual consistency.
-  bool converged() const {
-    const std::uint64_t total = total_originated();
-    for (const auto& n : nodes_) {
-      if (n->updates_known() != total) return false;
-    }
-    for (std::size_t i = 1; i < nodes_.size(); ++i) {
-      if (!(nodes_[i]->state() == nodes_[0]->state())) return false;
-    }
-    return true;
-  }
-
+  bool converged() const { return shard::converged(nodes_); }
   std::uint64_t total_originated() const {
-    std::uint64_t total = 0;
-    for (const auto& n : nodes_) total += n->originated().size();
-    return total;
+    return shard::total_originated(nodes_);
   }
-
-  /// Maps (origin, 1-based broadcast seq) to that broadcast's timestamp:
-  /// origin o's seq-th broadcast is its (seq-1)-th originated record. This
-  /// is the lazy half of prefix interning — Records carry O(#nodes)
-  /// references (core::PrefixRef); only the analysis layer, through this
-  /// resolver, ever materializes the O(history) timestamp sets.
+  /// (origin, seq) -> timestamp; see shard::prefix_resolver.
   core::PrefixRef::Resolver prefix_resolver() const {
-    return [this](core::NodeId origin, std::uint64_t origin_seq) {
-      return nodes_.at(origin)->originated().at(origin_seq - 1).ts;
-    };
+    return shard::prefix_resolver(nodes_);
   }
-
-  /// Assemble the formal execution: all transactions from all origins in
-  /// global timestamp order, interned prefixes expanded (via
-  /// prefix_resolver) and mapped from timestamps to indices.
-  core::Execution<App> execution() const {
-    // Collect (timestamp -> record) across nodes; std::map orders by ts.
-    std::map<core::Timestamp, const typename NodeT::Record*> by_ts;
-    for (const auto& n : nodes_) {
-      for (const auto& rec : n->originated()) {
-        by_ts.emplace(rec.ts, &rec);
-      }
-    }
-    std::map<core::Timestamp, std::size_t> index_of;
-    std::size_t next = 0;
-    for (const auto& [ts, rec] : by_ts) index_of.emplace(ts, next++);
-
-    const core::PrefixRef::Resolver resolve = prefix_resolver();
-    core::Execution<App> exec;
-    for (const auto& [ts, rec] : by_ts) {
-      core::TxInstance<App> tx;
-      tx.ts = rec->ts;
-      tx.origin = rec->origin;
-      tx.real_time = rec->real_time;
-      tx.request = rec->request;
-      tx.update = rec->update;
-      tx.external_actions = rec->external_actions;
-      const std::vector<core::Timestamp> pts = rec->prefix.expand(resolve);
-      tx.prefix.reserve(pts.size());
-      for (const core::Timestamp& p : pts) {
-        tx.prefix.push_back(index_of.at(p));
-      }
-      exec.append(std::move(tx));
-    }
-    return exec;
-  }
+  /// The formal execution (serial order = global timestamp order).
+  core::Execution<App> execution() const { return shard::execution(nodes_); }
 
   sim::Scheduler& scheduler() { return scheduler_; }
   sim::Network& network() { return *network_; }
@@ -353,20 +296,10 @@ class Cluster {
     for (auto& n : nodes_) n->set_stream_observer(obs);
   }
 
-  /// Read-side view of the execution trace (single ring or per-node shards,
-  /// per Config::trace.sharded), or nullptr when tracing is off. Recording
-  /// components do not go through this — each holds its concrete Tracer
-  /// (its own shard, in sharded mode).
-  obs::TraceSource* tracer() {
-    return sharded_ ? static_cast<obs::TraceSource*>(sharded_.get())
-                    : static_cast<obs::TraceSource*>(tracer_.get());
-  }
-  const obs::TraceSource* tracer() const {
-    return sharded_ ? static_cast<const obs::TraceSource*>(sharded_.get())
-                    : static_cast<const obs::TraceSource*>(tracer_.get());
-  }
-  /// The per-node trace shards, or nullptr in legacy/untraced mode.
-  obs::ShardedTracer* sharded_tracer() { return sharded_.get(); }
+  /// The execution trace (per-node shards, merged on read), or nullptr
+  /// when tracing is off. Recording components hold their own shard.
+  obs::ShardedTracer* tracer() { return tracer_.get(); }
+  const obs::ShardedTracer* tracer() const { return tracer_.get(); }
   /// Trace-derived per-update lifecycle metrics (nullptr when not tracing).
   const obs::LifecycleTracker* lifecycle() const { return lifecycle_.get(); }
 
@@ -529,50 +462,15 @@ class Cluster {
     series_.push_back(std::move(s));
   }
 
-  /// Build the unified hook set and hand it to the backend. Dispatch events
-  /// from the simulator arrive attributed to kNoWorker and are routed to
-  /// the control shard exactly as the legacy scheduler observer did; a
-  /// per-node worker id (threaded backend) would route to that node's
-  /// shard. Fates split send-side/delivery-side between src and dst tracks.
+  /// Build the unified hook set and hand it to the backend: dispatches and
+  /// message fates go to the trace shards (shard::trace_hooks).
   void install_hooks() {
-    if (config_.trace.enabled) {
-      hooks_.on_dispatch = [this](runtime::NodeId worker, sim::Time t,
-                                  std::uint64_t id) {
-        const bool control = worker == runtime::kNoWorker;
-        (control ? control_tracer() : node_tracer(worker))
-            ->record(obs::EventType::kSchedulerDispatch, t,
-                     control ? obs::kControlNode : worker, 0, 0, id);
-      };
-      hooks_.on_message_fate = [this](sim::NodeId src, sim::NodeId dst,
-                                      std::uint64_t id,
-                                      runtime::MessageFate fate) {
-        // Send-side fates belong to the source's program order; delivery
-        // and delivery-time crash drops (id != 0: the message travelled)
-        // belong to the destination's — so the causal graph threads each
-        // node's track through the deliveries it actually observed.
-        const obs::EventType type = fate_event_type(fate);
-        const bool at_dst =
-            type == obs::EventType::kNetDeliver ||
-            (type == obs::EventType::kNetDropCrashed && id != 0);
-        node_tracer(at_dst ? dst : src)
-            ->record(type, scheduler_.now(), at_dst ? dst : src, 0, 0,
-                     at_dst ? src : dst, id);
-      };
+    if (tracer_) {
+      trace_hooks(hooks_, *tracer_, [this] { return scheduler_.now(); });
     }
     hooks_.stream_observer = stream_obs_;
     backend_->set_hooks(hooks_);
   }
-
-  /// The concrete tracer a component at `node` records into: its own shard
-  /// in sharded mode, the global ring in legacy mode, nullptr when off.
-  obs::Tracer* node_tracer(sim::NodeId node) {
-    return sharded_ ? &sharded_->shard(node) : tracer_.get();
-  }
-  /// Where cluster-scope events (scheduler dispatch, cut markers) go.
-  obs::Tracer* control_tracer() {
-    return sharded_ ? &sharded_->control_shard() : tracer_.get();
-  }
-  obs::TraceSource* trace_source() { return tracer(); }
 
   /// Reject fault/config combinations that would break recovery, up front
   /// rather than asserting deep inside the broadcast layer:
@@ -641,30 +539,13 @@ class Cluster {
     }
   }
 
-  static obs::EventType fate_event_type(sim::Network::MessageFate fate) {
-    switch (fate) {
-      case sim::Network::MessageFate::kSent:
-        return obs::EventType::kNetSend;
-      case sim::Network::MessageFate::kDelivered:
-        return obs::EventType::kNetDeliver;
-      case sim::Network::MessageFate::kDroppedPartition:
-        return obs::EventType::kNetDropPartition;
-      case sim::Network::MessageFate::kDroppedRandom:
-        return obs::EventType::kNetDropRandom;
-      case sim::Network::MessageFate::kDroppedCrashed:
-        return obs::EventType::kNetDropCrashed;
-    }
-    return obs::EventType::kNetSend;  // unreachable
-  }
-
   Config config_;
   sim::Rng master_rng_;
   sim::Scheduler scheduler_;
   // Tracing sits above the nodes (they hold raw pointers into it) and is
-  // declared before them so it outlives their destructors. Exactly one of
-  // tracer_ / sharded_ is set when tracing is enabled (trace.sharded picks).
-  std::unique_ptr<obs::Tracer> tracer_;
-  std::unique_ptr<obs::ShardedTracer> sharded_;
+  // declared before them so it outlives their destructors. Set iff tracing
+  // is enabled.
+  std::unique_ptr<obs::ShardedTracer> tracer_;
   std::unique_ptr<obs::LifecycleTracker> lifecycle_;
   std::unique_ptr<sim::Network> network_;
   std::unique_ptr<runtime::SimBackend> backend_;

@@ -17,7 +17,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -30,7 +29,6 @@
 #include "net/broadcast.hpp"
 #include "obs/tracer.hpp"
 #include "runtime/api.hpp"
-#include "runtime/sim_backend.hpp"
 #include "shard/update_log.hpp"
 #include "sim/crash.hpp"
 
@@ -44,10 +42,7 @@ template <core::Application App>
 class StreamObserver;
 
 /// Everything the origin records about a transaction it initiated; the
-/// cluster assembles the formal Execution from these. Hoisted out of Node
-/// so the record type is identical across log layouts (Node<App, kSoA> and
-/// Node<App, kAoS> produce interchangeable records — the differential
-/// harnesses compare them directly).
+/// cluster assembles the formal Execution from these.
 template <core::Application App>
 struct TxRecord {
   core::Timestamp ts;
@@ -68,7 +63,7 @@ struct TxRecord {
   sim::Time decided_time = 0.0;
 };
 
-template <core::Application App, LogLayout Layout = LogLayout::kSoA>
+template <core::Application App>
 class Node {
  public:
   using State = typename App::State;
@@ -103,37 +98,6 @@ class Node {
                    seed,
                    [this](const typename net::ReliableBroadcast<Envelope>::Wire&
                               wire) { on_deliver(wire); }) {
-    init_hooks(broadcast_options);
-  }
-
-  /// One-release adapter for callers still wired to the concrete simulator;
-  /// behaves exactly like constructing against backend.executor()/transport()
-  /// of a runtime::SimBackend over the same scheduler/network.
-  [[deprecated("construct with (runtime::Executor&, runtime::Transport&) — "
-               "the sim::Network& form is a one-release adapter")]]
-  Node(core::NodeId id, sim::Network& network, std::size_t cluster_size,
-       net::BroadcastOptions broadcast_options, std::size_t checkpoint_interval,
-       std::uint64_t seed, bool enable_compaction = false,
-       obs::Tracer* tracer = nullptr, std::size_t max_checkpoints = 0)
-      : id_(id),
-        clock_(id),
-        log_(checkpoint_interval, max_checkpoints),
-        peer_announcements_(cluster_size),
-        enable_compaction_(enable_compaction),
-        tracer_(tracer),
-        owned_exec_(std::make_unique<runtime::SimExecutor>(
-            network.scheduler())),
-        owned_net_(std::make_unique<runtime::SimTransport>(network)),
-        exec_(owned_exec_.get()),
-        broadcast_(*owned_exec_, *owned_net_, id, cluster_size,
-                   broadcast_options, seed,
-                   [this](const typename net::ReliableBroadcast<Envelope>::Wire&
-                              wire) { on_deliver(wire); }) {
-    init_hooks(broadcast_options);
-  }
-
- private:
-  void init_hooks(const net::BroadcastOptions& broadcast_options) {
     log_.set_tracer(tracer_, id_, [this] { return exec_->now(); });
     broadcast_.set_tracer(tracer_);
     if (broadcast_options.byzantine.enabled) {
@@ -157,7 +121,6 @@ class Node {
         });
   }
 
- public:
   /// Arm protocol timers.
   void start() { broadcast_.start(); }
 
@@ -367,7 +330,7 @@ class Node {
   void set_stream_observer(StreamObserver<App>* obs) { stream_obs_ = obs; }
 
   const State& state() const { return log_.state(); }
-  const UpdateLog<App, Layout>& log() const { return log_; }
+  const UpdateLog<App>& log() const { return log_; }
   core::NodeId id() const { return id_; }
   const std::vector<Record>& originated() const { return originated_; }
   const EngineStats& engine_stats() const { return log_.stats(); }
@@ -553,7 +516,7 @@ class Node {
 
   core::NodeId id_;
   core::LamportClock clock_;
-  UpdateLog<App, Layout> log_;
+  UpdateLog<App> log_;
   std::vector<Record> originated_;
   std::vector<Announcement> peer_announcements_;
   std::deque<PendingSerial> pending_;
@@ -567,10 +530,6 @@ class Node {
   bool enable_compaction_ = false;
   obs::Tracer* tracer_ = nullptr;  ///< optional execution tracing
   StreamObserver<App>* stream_obs_ = nullptr;  ///< optional online checking
-  /// Owned backend adapters for the deprecated sim::Network& constructor;
-  /// null when the caller supplied the runtime interfaces directly.
-  std::unique_ptr<runtime::SimExecutor> owned_exec_;
-  std::unique_ptr<runtime::SimTransport> owned_net_;
   runtime::Executor* exec_;
   net::ReliableBroadcast<Envelope> broadcast_;
 };

@@ -33,15 +33,14 @@
 //
 // Storage layout (constant factors; DESIGN.md §9): every insert binary-
 // searches the timestamp order and a mid-insert shifts the tail, so the
-// default layout is struct-of-arrays — a dense contiguous core::Timestamp
+// log is stored as struct-of-arrays — a dense contiguous core::Timestamp
 // column scanned by the position search, a parallel column of arena slot
 // indices, and an arena of Update objects that never move once written
 // (mid-inserts shift 16+4 bytes per displaced entry instead of a full
-// Entry; freed slots are recycled so compaction keeps the arena O(window)).
+// entry; freed slots are recycled so compaction keeps the arena O(window)).
 // Checkpoint positions index the order columns; because the arena never
 // relocates updates, compaction and mid-inserts shift checkpoints without
-// touching update storage. The original array-of-structs layout survives as
-// LogLayout::kAoS — the differential oracle and the E25 ablation baseline.
+// touching update storage.
 #pragma once
 
 #include <algorithm>
@@ -49,7 +48,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -59,12 +57,6 @@
 #include "shard/engine_stats.hpp"
 
 namespace shard {
-
-/// Storage layout of an UpdateLog: kSoA (timestamp column + update arena,
-/// the default) or kAoS (one Entry vector — oracle and ablation baseline).
-/// Behavior, stats and trace streams are identical; only memory layout and
-/// constant factors differ.
-enum class LogLayout : std::uint8_t { kSoA, kAoS };
 
 namespace detail {
 
@@ -138,73 +130,19 @@ class SoALogStore {
   std::vector<std::uint32_t> free_;   ///< Recycled slots (LIFO).
 };
 
-/// Array-of-structs entry storage — the original layout, kept as the
-/// differential oracle and the E25 ablation baseline.
-template <class Update>
-class AoSLogStore {
- public:
-  std::size_t size() const { return entries_.size(); }
-  const core::Timestamp& ts_at(std::size_t i) const { return entries_[i].ts; }
-  const Update& update_at(std::size_t i) const { return entries_[i].update; }
-
-  std::size_t lower_bound(const core::Timestamp& ts) const {
-    const auto it = std::lower_bound(
-        entries_.begin(), entries_.end(), ts,
-        [](const Ent& e, const core::Timestamp& t) { return e.ts < t; });
-    return static_cast<std::size_t>(it - entries_.begin());
-  }
-
-  void insert(std::size_t pos, const core::Timestamp& ts, Update update) {
-    entries_.insert(entries_.begin() + static_cast<std::ptrdiff_t>(pos),
-                    Ent{ts, std::move(update)});
-  }
-
-  void erase_prefix(std::size_t n) {
-    entries_.erase(entries_.begin(),
-                   entries_.begin() + static_cast<std::ptrdiff_t>(n));
-  }
-
-  void truncate(std::size_t keep_n) { entries_.resize(keep_n); }
-
-  void clear() { entries_.clear(); }
-
-  std::vector<core::Timestamp> timestamps() const {
-    std::vector<core::Timestamp> out;
-    out.reserve(entries_.size());
-    for (const Ent& e : entries_) out.push_back(e.ts);
-    return out;
-  }
-
-  std::size_t arena_slots() const { return entries_.size(); }
-  std::size_t arena_free_slots() const { return 0; }
-
- private:
-  struct Ent {
-    core::Timestamp ts;
-    Update update;
-  };
-  std::vector<Ent> entries_;
-};
-
 }  // namespace detail
 
-/// One (timestamp, update) pair handed to UpdateLog::insert. Hoisted out of
-/// the class so it is the same type across layouts — the SoA/AoS
-/// differential tests feed one arrival sequence to both.
 template <core::Replicable App>
-struct LogEntry {
-  core::Timestamp ts;
-  typename App::Update update;
-};
-
-template <core::Replicable App, LogLayout Layout = LogLayout::kSoA>
 class UpdateLog {
  public:
   using State = typename App::State;
   using Update = typename App::Update;
-  static constexpr LogLayout kLayout = Layout;
 
-  using Entry = LogEntry<App>;
+  /// One (timestamp, update) pair handed to insert().
+  struct Entry {
+    core::Timestamp ts;
+    Update update;
+  };
 
   /// A state snapshot: `state` is the fold of the first `pos` retained
   /// entries over the base. Explicit positions (instead of the old implicit
@@ -275,8 +213,8 @@ class UpdateLog {
 
   std::size_t size() const { return store_.size(); }
   /// Timestamp / update of the retained entry at position `i`. Split
-  /// accessors instead of the old entry(i) pair: the SoA layout has no
-  /// Entry object to hand back, and callers almost always want one column.
+  /// accessors: the columns hold no Entry object to hand back, and callers
+  /// almost always want one column.
   const core::Timestamp& ts_at(std::size_t i) const {
     assert(i < store_.size());
     return store_.ts_at(i);
@@ -288,7 +226,7 @@ class UpdateLog {
 
   /// Timestamps of every known update, in order. This *is* the prefix
   /// subsequence a decision part sees (paper section 3.1, condition (1)).
-  /// Under the SoA layout this is one contiguous column copy.
+  /// One contiguous column copy.
   std::vector<core::Timestamp> known_timestamps() const {
     return store_.timestamps();
   }
@@ -407,9 +345,9 @@ class UpdateLog {
   std::size_t total_merged() const { return store_.size() + folded_count_; }
   const core::Timestamp& base_cut() const { return base_cut_; }
 
-  /// Arena footprint (SoA: slots allocated / currently free for reuse; AoS
-  /// reports its entry count and no free list). Tests pin that compaction
-  /// and truncation recycle slots instead of growing the arena O(history).
+  /// Arena footprint: slots allocated / currently free for reuse. Tests pin
+  /// that compaction and truncation recycle slots instead of growing the
+  /// arena O(history).
   std::size_t arena_slots() const { return store_.arena_slots(); }
   std::size_t arena_free_slots() const { return store_.arena_free_slots(); }
 
@@ -439,10 +377,6 @@ class UpdateLog {
   }
 
  private:
-  using Store = std::conditional_t<Layout == LogLayout::kSoA,
-                                   detail::SoALogStore<Update>,
-                                   detail::AoSLogStore<Update>>;
-
   void trace(obs::EventType type, const core::Timestamp& ts,
              std::uint64_t a = 0) const {
     if (!tracer_) return;
@@ -541,7 +475,7 @@ class UpdateLog {
   State base_;
   core::Timestamp base_cut_{};
   std::size_t folded_count_ = 0;
-  Store store_;
+  detail::SoALogStore<Update> store_;
   std::vector<Checkpoint> checkpoints_;
   State state_;
   EngineStats stats_;

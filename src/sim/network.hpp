@@ -110,7 +110,6 @@ class Network {
 
   const NetworkStats& stats() const { return stats_; }
   const Config& config() const { return config_; }
-  Scheduler& scheduler() { return sched_; }
 
   /// Install (or clear, with nullptr) the message-fate observer. Used by
   /// the tracer; costs one branch per outcome when unset.

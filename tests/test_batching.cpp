@@ -136,12 +136,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, BatchingCrashChaosTier,
 // Coalescing and group commit under genuine bursts
 // ---------------------------------------------------------------------------
 
-template <shard::LogLayout Layout = shard::LogLayout::kSoA>
-shard::Cluster<Air, Layout> make_burst_cluster(std::size_t max_batch) {
+shard::Cluster<Air> make_burst_cluster(std::size_t max_batch) {
   harness::Scenario sc = harness::wan(4);
   shard::ClusterConfig cfg = sc.cluster_config<Air>(0xb0b);
   cfg.broadcast.max_batch = max_batch;
-  return shard::Cluster<Air, Layout>(cfg);
+  return shard::Cluster<Air>(cfg);
 }
 
 /// Submit `burst` requests inside ONE scheduler dispatch (the shape an
@@ -221,24 +220,6 @@ TEST(Batching, GroupCommitAmortizesOutboxSyncs) {
             bursts * burst);
   EXPECT_EQ(sum(unbatched, &net::BroadcastStats::outbox_records_synced),
             bursts * burst);
-}
-
-TEST(Batching, AoSLayoutConvergesIdenticallyUnderBursts) {
-  // The ablation instantiation (AoS log + batched floods) must be
-  // observationally identical to the default SoA one.
-  const std::size_t bursts = 6, burst = 9;
-  auto soa = make_burst_cluster<shard::LogLayout::kSoA>(4);
-  drive_bursts(soa, bursts, burst);
-  auto aos = make_burst_cluster<shard::LogLayout::kAoS>(4);
-  drive_bursts(aos, bursts, burst);
-  EXPECT_TRUE(soa.converged());
-  EXPECT_TRUE(aos.converged());
-  for (std::size_t n = 0; n < soa.num_nodes(); ++n) {
-    EXPECT_EQ(soa.node(static_cast<core::NodeId>(n)).state(),
-              aos.node(static_cast<core::NodeId>(n)).state());
-    EXPECT_EQ(soa.node(static_cast<core::NodeId>(n)).log().known_timestamps(),
-              aos.node(static_cast<core::NodeId>(n)).log().known_timestamps());
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@
 // totals. obs::IncidentReport: epoch attribution by ADMISSION (originate
 // event), not detection; contributors from the causal ancestry; byte-
 // deterministic exporters — pinned on hand-built chains with known times
-// and on full chaos/crash-chaos streams (the same seed tiers the sharded-
-// tracer differential uses). obs::FlameDiff: identical profiles diff
+// and on full chaos/crash-chaos streams (the same seed tiers whose trace
+// goldens test_flame pins). obs::FlameDiff: identical profiles diff
 // empty, a perturbed stage is ranked first, structural mismatches are
 // noted.
 #include <gtest/gtest.h>

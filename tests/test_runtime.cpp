@@ -6,8 +6,7 @@
 //   * SimBackend differential — the runtime port is trace-invariant: the
 //     same (scenario, seed) yields byte-identical merged trace streams
 //     across repeated runs over the chaos and crash-chaos seed tiers, and
-//     a cluster wired through the [[deprecated]] sim::Network& adapters is
-//     byte-identical to one wired through the runtime interfaces.
+//     nodes wired by hand to a SimBackend reproduce a golden trace.
 //   * Hooks unification — SimBackend::set_hooks drives the legacy
 //     scheduler-dispatch and network-fate observer surfaces: a consumer
 //     registered through runtime::Hooks sees exactly the sequence the
@@ -142,18 +141,14 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RuntimeCrashChaosTier,
                          ::testing::Range<std::uint64_t>(3000, 3012));
 
 // ---------------------------------------------------------------------------
-// Deprecated-adapter equivalence
+// Hand-wired nodes: golden trace
 // ---------------------------------------------------------------------------
 
-/// A hand-wired three-node dictionary cluster, constructed either through
-/// the runtime interfaces or through the one-release sim::Network&
-/// adapters. Everything else — seeds, traffic, tracing — is identical.
-struct MiniRun {
-  std::string trace;
-  Dict::State state;
-};
-
-MiniRun run_mini(bool use_adapter) {
+TEST(RuntimeGolden, HandWiredNodesReproduceGoldenTrace) {
+  // Three dictionary nodes constructed directly against a SimBackend's
+  // executor and transport, outside any Cluster. The golden was recorded
+  // when nodes could also be wired through sim::Network& adapters and both
+  // wirings produced this stream.
   sim::Scheduler sched;
   sim::Network net(sched, {}, /*seed=*/7);
   runtime::SimBackend backend(sched, net);
@@ -163,20 +158,11 @@ MiniRun run_mini(bool use_adapter) {
   opts.anti_entropy_interval = 0.3;
   std::vector<std::unique_ptr<shard::Node<Dict>>> nodes;
   for (std::size_t i = 0; i < kNodes; ++i) {
-    if (use_adapter) {
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-      nodes.push_back(std::make_unique<shard::Node<Dict>>(
-          static_cast<core::NodeId>(i), net, kNodes, opts,
-          /*checkpoint_interval=*/8, /*seed=*/100 + i, false, &tracer));
-#pragma GCC diagnostic pop
-    } else {
-      nodes.push_back(std::make_unique<shard::Node<Dict>>(
-          static_cast<core::NodeId>(i),
-          backend.executor(static_cast<runtime::NodeId>(i)),
-          backend.transport(), kNodes, opts,
-          /*checkpoint_interval=*/8, /*seed=*/100 + i, false, &tracer));
-    }
+    nodes.push_back(std::make_unique<shard::Node<Dict>>(
+        static_cast<core::NodeId>(i),
+        backend.executor(static_cast<runtime::NodeId>(i)), backend.transport(),
+        kNodes, opts, /*checkpoint_interval=*/8, /*seed=*/100 + i, false,
+        &tracer));
   }
   for (auto& n : nodes) n->start();
   sim::Rng rng(42);
@@ -191,56 +177,13 @@ MiniRun run_mini(bool use_adapter) {
     });
   }
   sched.run_until(20.0);
-  MiniRun r;
-  r.trace = obs::serialize(tracer.ring());
-  r.state = nodes[0]->state();
   for (std::size_t i = 1; i < kNodes; ++i) {
-    EXPECT_EQ(nodes[i]->state(), r.state) << "node " << i;
+    EXPECT_EQ(nodes[i]->state(), nodes[0]->state()) << "node " << i;
   }
-  return r;
-}
-
-TEST(RuntimeAdapters, DeprecatedNetworkCtorIsByteIdentical) {
-  const MiniRun direct = run_mini(/*use_adapter=*/false);
-  const MiniRun adapted = run_mini(/*use_adapter=*/true);
-  ASSERT_FALSE(direct.trace.empty());
-  EXPECT_EQ(adapted.trace, direct.trace);
-  EXPECT_EQ(adapted.state, direct.state);
-}
-
-TEST(RuntimeAdapters, DeprecatedBroadcastCtorDeliversIdentically) {
-  using Rb = net::ReliableBroadcast<std::string>;
-  const auto drive = [](bool use_adapter) {
-    sim::Scheduler sched;
-    sim::Network net(sched, {}, 7);
-    runtime::SimBackend backend(sched, net);
-    std::vector<std::vector<std::string>> delivered(3);
-    std::vector<std::unique_ptr<Rb>> ends;
-    net::BroadcastOptions opts;
-    opts.anti_entropy_interval = 0.2;
-    for (sim::NodeId i = 0; i < 3; ++i) {
-      const auto cb = [&delivered, i](const Rb::Wire& w) {
-        delivered[i].push_back(w.payload);
-      };
-      if (use_adapter) {
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-        ends.push_back(std::make_unique<Rb>(net, i, 3, opts, 100 + i, cb));
-#pragma GCC diagnostic pop
-      } else {
-        ends.push_back(std::make_unique<Rb>(backend.executor(i),
-                                            backend.transport(), i, 3, opts,
-                                            100 + i, cb));
-      }
-    }
-    for (auto& e : ends) e->start();
-    ends[0]->broadcast("a");
-    ends[1]->broadcast("b");
-    ends[2]->broadcast("c");
-    sched.run_until(5.0);
-    return delivered;
-  };
-  EXPECT_EQ(drive(true), drive(false));
+  ASSERT_EQ(tracer.evicted(), 0u);
+  const std::vector<obs::Event> trace = tracer.ring();
+  EXPECT_EQ(trace.size(), 428u);
+  EXPECT_EQ(obs::digest(trace), 0xabf05eae63b0c2f6ull);
 }
 
 // ---------------------------------------------------------------------------

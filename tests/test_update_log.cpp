@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
+#include <map>
+#include <tuple>
 #include <vector>
 
 #include "apps/airline/airline.hpp"
@@ -80,18 +83,65 @@ TEST(UpdateLog, ContainsAndEntryAccessors) {
             (std::vector<Timestamp>{Timestamp{5, 1}}));
 }
 
-/// Property: for random arrival orders and any checkpoint interval, the
-/// incrementally maintained state equals a from-scratch replay.
+/// Property: for random arrival orders, any checkpoint interval, with or
+/// without interleaved compaction, the incrementally maintained state
+/// equals the fold of App::apply over the inserted entries in timestamp
+/// order — after every insert.
 class UpdateLogEquivalence
-    : public ::testing::TestWithParam<std::tuple<std::size_t, std::uint64_t>> {
+    : public ::testing::TestWithParam<
+          std::tuple<std::size_t, std::uint64_t, bool>> {};
+
+/// Final engine counters of one UpdateLogEquivalence case. Recorded when
+/// the log also had an array-of-structs store and both stores produced
+/// these counters, entry orders and states.
+struct EngineGolden {
+  std::size_t interval;
+  std::uint64_t seed;
+  bool compact;
+  std::uint64_t tail, mid, undone, redone, taken, folded;
+  std::size_t retained;
 };
 
-TEST_P(UpdateLogEquivalence, MatchesNaiveReplayUnderRandomArrivals) {
-  const auto [checkpoint_interval, seed] = GetParam();
+constexpr EngineGolden kEngineGoldens[] = {
+    {0, 1, false, 3, 197, 9373, 19943, 0, 0, 1},
+    {0, 1, true, 3, 197, 9373, 19657, 0, 2, 1},
+    {0, 2, false, 6, 194, 9650, 19793, 0, 0, 1},
+    {0, 2, true, 6, 194, 9650, 19561, 0, 29, 1},
+    {0, 3, false, 4, 196, 9685, 19878, 0, 0, 1},
+    {0, 3, true, 4, 196, 9685, 19084, 0, 60, 1},
+    {1, 1, false, 3, 197, 9373, 9573, 9573, 0, 201},
+    {1, 1, true, 3, 197, 9373, 9573, 9573, 2, 199},
+    {1, 2, false, 6, 194, 9650, 9850, 9850, 0, 201},
+    {1, 2, true, 6, 194, 9650, 9850, 9850, 29, 172},
+    {1, 3, false, 4, 196, 9685, 9885, 9885, 0, 201},
+    {1, 3, true, 4, 196, 9685, 9885, 9885, 60, 141},
+    {4, 1, false, 3, 197, 9373, 9851, 2388, 0, 51},
+    {4, 1, true, 3, 197, 9373, 9851, 2388, 2, 50},
+    {4, 2, false, 6, 194, 9650, 10137, 2461, 0, 51},
+    {4, 2, true, 6, 194, 9650, 10136, 2460, 29, 43},
+    {4, 3, false, 4, 196, 9685, 10186, 2473, 0, 51},
+    {4, 3, true, 4, 196, 9685, 10180, 2472, 60, 36},
+    {32, 1, false, 3, 197, 9373, 12199, 288, 0, 7},
+    {32, 1, true, 3, 197, 9373, 12203, 288, 2, 7},
+    {32, 2, false, 6, 194, 9650, 12369, 295, 0, 7},
+    {32, 2, true, 6, 194, 9650, 12352, 294, 29, 6},
+    {32, 3, false, 4, 196, 9685, 12838, 308, 0, 7},
+    {32, 3, true, 4, 196, 9685, 12659, 300, 60, 5},
+    {1000, 1, false, 3, 197, 9373, 19943, 0, 0, 1},
+    {1000, 1, true, 3, 197, 9373, 19657, 0, 2, 1},
+    {1000, 2, false, 6, 194, 9650, 19793, 0, 0, 1},
+    {1000, 2, true, 6, 194, 9650, 19561, 0, 29, 1},
+    {1000, 3, false, 4, 196, 9685, 19878, 0, 0, 1},
+    {1000, 3, true, 4, 196, 9685, 19084, 0, 60, 1},
+};
+
+TEST_P(UpdateLogEquivalence, MatchesTimestampOrderFold) {
+  const auto [checkpoint_interval, seed, compact] = GetParam();
   sim::Rng rng(seed);
-  // Build a random update sequence with global timestamps 1..n.
+  // Build a random update sequence with global timestamps 1..n, then
+  // shuffle its arrival order (Fisher–Yates with our Rng).
   const std::size_t n = 200;
-  std::vector<Log::Entry> entries;
+  std::vector<Log::Entry> arrival;
   for (std::size_t i = 0; i < n; ++i) {
     const auto p =
         static_cast<apps::airline::Person>(rng.uniform_int(1, 12));
@@ -102,31 +152,58 @@ TEST_P(UpdateLogEquivalence, MatchesNaiveReplayUnderRandomArrivals) {
       case 2: u = up(p); break;
       default: u = down(p); break;
     }
-    entries.push_back({Timestamp{i + 1, 0}, u});
+    arrival.push_back({Timestamp{i + 1, 0}, u});
   }
-  // Shuffle arrival order (Fisher–Yates with our Rng).
-  std::vector<Log::Entry> arrival = entries;
   for (std::size_t i = arrival.size(); i > 1; --i) {
     const auto j =
         static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(i) - 1));
     std::swap(arrival[i - 1], arrival[j]);
   }
   Log log(checkpoint_interval);
-  for (const auto& e : arrival) {
-    log.insert(e);
-    // Invariant after EVERY insert, not just at the end.
-    ASSERT_EQ(log.state(), log.recompute_naive());
+  std::map<Timestamp, Update> inserted;
+  // Every timestamp below `frontier` has arrived, so folding below it is
+  // safe: nothing can land under the compaction cut afterwards.
+  std::uint64_t frontier = 1;
+  for (std::size_t i = 0; i < arrival.size(); ++i) {
+    log.insert(arrival[i]);
+    inserted.emplace(arrival[i].ts, arrival[i].update);
+    while (inserted.count(Timestamp{frontier, 0}) != 0) ++frontier;
+    if (compact && i % 16 == 15) log.compact_before(Timestamp{frontier, 0});
+    SmallAirline::State expect = SmallAirline::initial();
+    for (const auto& [ts, u] : inserted) SmallAirline::apply(u, expect);
+    ASSERT_EQ(log.state(), expect) << "after insert " << i;
   }
-  // Final state also equals replay of the ts-ordered original sequence.
-  SmallAirline::State expect = SmallAirline::initial();
-  for (const auto& e : entries) SmallAirline::apply(e.update, expect);
-  EXPECT_EQ(log.state(), expect);
+  // The retained entries are exactly the unfolded suffix, in order.
+  auto it = inserted.lower_bound(log.base_cut());
+  ASSERT_EQ(log.size(), static_cast<std::size_t>(
+                            std::distance(it, inserted.end())));
+  for (std::size_t i = 0; i < log.size(); ++i, ++it) {
+    ASSERT_EQ(log.ts_at(i), it->first);
+    ASSERT_EQ(log.update_at(i), it->second);
+  }
+
+  const EngineGolden* golden = nullptr;
+  for (const EngineGolden& g : kEngineGoldens) {
+    if (g.interval == checkpoint_interval && g.seed == seed &&
+        g.compact == compact) {
+      golden = &g;
+    }
+  }
+  ASSERT_NE(golden, nullptr);
+  const shard::EngineStats& st = log.stats();
+  EXPECT_EQ(st.tail_appends, golden->tail);
+  EXPECT_EQ(st.mid_inserts, golden->mid);
+  EXPECT_EQ(st.undone_updates, golden->undone);
+  EXPECT_EQ(st.redone_updates, golden->redone);
+  EXPECT_EQ(st.checkpoints_taken, golden->taken);
+  EXPECT_EQ(st.entries_folded, golden->folded);
+  EXPECT_EQ(log.checkpoints_retained(), golden->retained);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, UpdateLogEquivalence,
     ::testing::Combine(::testing::Values(0u, 1u, 4u, 32u, 1000u),
-                       ::testing::Values(1u, 2u, 3u)));
+                       ::testing::Values(1u, 2u, 3u), ::testing::Bool()));
 
 TEST(UpdateLog, CheckpointsReduceRedoWork) {
   // The [BK]/[SKS]-style optimization claim, measured: replaying after a
@@ -275,69 +352,6 @@ TEST(UpdateLog, CheckpointCountNeverExceedsTheBound) {
     }
   }
 }
-
-using AosLog = shard::UpdateLog<SmallAirline, shard::LogLayout::kAoS>;
-
-/// Differential property: the SoA/arena layout is observationally identical
-/// to the AoS layout — state, entry order, undo/redo/checkpoint counters —
-/// over random interleavings with interleaved compaction.
-class SoAVersusAoS : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(SoAVersusAoS, LayoutsAgreeUnderRandomArrivalsAndCompaction) {
-  sim::Rng rng(GetParam());
-  const std::size_t n = 300;
-  std::vector<Log::Entry> arrival;
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto p = static_cast<apps::airline::Person>(rng.uniform_int(1, 12));
-    Update u;
-    switch (rng.uniform_int(0, 3)) {
-      case 0: u = req(p); break;
-      case 1: u = cancel(p); break;
-      case 2: u = up(p); break;
-      default: u = down(p); break;
-    }
-    arrival.push_back({Timestamp{i + 1, 0}, u});
-  }
-  for (std::size_t i = arrival.size(); i > 1; --i) {
-    const auto j = static_cast<std::size_t>(
-        rng.uniform_int(0, static_cast<std::int64_t>(i) - 1));
-    std::swap(arrival[i - 1], arrival[j]);
-  }
-  Log soa(8, 4);
-  AosLog aos(8, 4);
-  std::uint64_t max_arrived = 0;
-  for (std::size_t i = 0; i < arrival.size(); ++i) {
-    // Compaction cuts must sit below everything that can still arrive;
-    // since arrival order is a shuffle, only an already-complete prefix of
-    // the timestamp line is safe. Track it and occasionally fold.
-    soa.insert(arrival[i]);
-    aos.insert(arrival[i]);
-    max_arrived = std::max(max_arrived, arrival[i].ts.logical);
-    ASSERT_EQ(soa.state(), aos.state());
-    ASSERT_EQ(soa.size(), aos.size());
-    if (i % 64 == 63 && soa.total_merged() == max_arrived) {
-      const Timestamp cut{max_arrived / 2, 0};
-      ASSERT_EQ(soa.compact_before(cut), aos.compact_before(cut));
-      ASSERT_EQ(soa.state(), soa.recompute_naive());
-    }
-  }
-  EXPECT_EQ(soa.state(), aos.state());
-  EXPECT_EQ(soa.known_timestamps(), aos.known_timestamps());
-  EXPECT_EQ(soa.stats().tail_appends, aos.stats().tail_appends);
-  EXPECT_EQ(soa.stats().mid_inserts, aos.stats().mid_inserts);
-  EXPECT_EQ(soa.stats().undone_updates, aos.stats().undone_updates);
-  EXPECT_EQ(soa.stats().redone_updates, aos.stats().redone_updates);
-  EXPECT_EQ(soa.stats().checkpoints_taken, aos.stats().checkpoints_taken);
-  EXPECT_EQ(soa.stats().entries_folded, aos.stats().entries_folded);
-  EXPECT_EQ(soa.checkpoints_retained(), aos.checkpoints_retained());
-  for (std::size_t i = 0; i < soa.size(); ++i) {
-    ASSERT_EQ(soa.ts_at(i), aos.ts_at(i));
-    ASSERT_EQ(soa.update_at(i), aos.update_at(i));
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Sweep, SoAVersusAoS,
-                         ::testing::Values(11u, 12u, 13u, 14u, 15u));
 
 TEST(UpdateLog, CompactionRecyclesArenaSlots) {
   Log log(4);
