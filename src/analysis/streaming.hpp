@@ -169,8 +169,7 @@ class StreamingChecker : public shard::StreamObserver<App> {
     p.originated_at = now;
     if (rec.serializable) {
       // The decision saw exactly the merged entries below its reservation.
-      p.prefix_size = shadow.folded_count() +
-                      shadow.known_timestamps_before(rec.ts).size();
+      p.prefix_size = shadow.folded_count() + shadow.count_before(rec.ts);
       evaluate_condition3(rec, shadow.state_before(rec.ts), p);
       // Decided: release the reservation's watermark hold.
       auto& rs = reservations_[n];

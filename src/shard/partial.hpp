@@ -25,20 +25,20 @@
 #pragma once
 
 #include <algorithm>
-#include <any>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
 #include <optional>
 #include <stdexcept>
-#include <unordered_set>
 #include <vector>
 
 #include "core/execution.hpp"
 #include "core/model.hpp"
+#include "core/prefix.hpp"
 #include "core/timestamp.hpp"
-#include "shard/engine_stats.hpp"
+#include "net/broadcast.hpp"
+#include "runtime/sim_backend.hpp"
 #include "shard/update_log.hpp"
 #include "sim/network.hpp"
 #include "sim/scheduler.hpp"
@@ -108,6 +108,12 @@ struct GroupStateMachine {
 };
 
 /// A partially replicated SHARD cluster.
+///
+/// Each group's replica set runs the one broadcast protocol,
+/// net::ReliableBroadcast, in non-causal mode (arrival order, at most once):
+/// group g's replicas are ranks 0..r-1 of their own sim::Network on the
+/// shared scheduler, so a write reaches only the nodes hosting its group,
+/// and dedup, repair and anti-entropy are the full-replication code.
 template <PartialApplication A>
 class PartialCluster {
  public:
@@ -134,48 +140,53 @@ class PartialCluster {
     Request request;
     std::vector<GroupWrite<A>> writes;
     std::vector<core::ExternalAction> external_actions;
-    /// Per written group: the timestamps merged in that group's local log
-    /// at decision time — the group-wise prefix subsequence.
-    std::map<GroupId, std::vector<core::Timestamp>> group_prefixes;
+    /// Per written group: the updates merged in that group's local log at
+    /// decision time — the group-wise prefix subsequence, interned over
+    /// the group's replica ranks (see group_execution).
+    std::map<GroupId, core::PrefixRef> group_prefixes;
   };
 
   struct Stats {
     std::uint64_t routed = 0;
     std::uint64_t unroutable = 0;  ///< no node hosts all required groups
-    std::uint64_t wires_sent = 0;
-    std::uint64_t repairs_sent = 0;
+    std::uint64_t wires_sent = 0;  ///< flood sends, one per write per peer
   };
 
   explicit PartialCluster(Config config)
-      : config_(config), rng_(config.seed) {
+      : config_(config), rng_(config.seed), executor_(scheduler_) {
     if (config_.replication_factor == 0 ||
         config_.replication_factor > config_.num_nodes) {
       throw std::invalid_argument("replication factor out of range");
     }
-    network_ = std::make_unique<sim::Network>(scheduler_, config_.network,
-                                              rng_.fork_seed());
-    // Placement: group g lives on r consecutive nodes starting at g mod n.
+    for (core::NodeId n = 0; n < config_.num_nodes; ++n) {
+      nodes_.push_back(std::make_unique<NodeState>(n));
+    }
+    net::BroadcastOptions options;
+    options.causal = false;
+    options.anti_entropy_interval = config_.anti_entropy_interval;
     replicas_.resize(config_.num_groups);
     for (GroupId g = 0; g < config_.num_groups; ++g) {
+      // Placement: group g lives on r consecutive nodes starting at g mod n.
       for (std::size_t j = 0; j < config_.replication_factor; ++j) {
         replicas_[g].push_back(static_cast<core::NodeId>(
             (g + j) % config_.num_nodes));
       }
-    }
-    nodes_.resize(config_.num_nodes);
-    for (core::NodeId n = 0; n < config_.num_nodes; ++n) {
-      nodes_[n] = std::make_unique<NodeState>(n, config_.checkpoint_interval);
-      network_->register_node(
-          n, [this, n](const sim::Message& m) { on_message(n, m); });
-    }
-    for (GroupId g = 0; g < config_.num_groups; ++g) {
-      for (core::NodeId n : replicas_[g]) {
-        nodes_[n]->logs.emplace(g, GroupLog(config_.checkpoint_interval));
-      }
-    }
-    if (config_.anti_entropy_interval > 0.0) {
-      for (core::NodeId n = 0; n < config_.num_nodes; ++n) {
-        schedule_anti_entropy(n);
+      networks_.push_back(std::make_unique<sim::Network>(
+          scheduler_, group_network(g), rng_.fork_seed()));
+      transports_.push_back(
+          std::make_unique<runtime::SimTransport>(*networks_.back()));
+      const std::size_t r = replicas_[g].size();
+      for (core::NodeId rank = 0; rank < r; ++rank) {
+        NodeState& node = *nodes_[replicas_[g][rank]];
+        Replica& rep = node.groups.try_emplace(g, config_.checkpoint_interval)
+                           .first->second;
+        rep.endpoint = std::make_unique<Broadcast>(
+            executor_, *transports_.back(), rank, r, options, rng_.fork_seed(),
+            [&node, &log = rep.log](const typename Broadcast::Wire& w) {
+              node.clock.observe(w.payload.ts);
+              log.insert(w.payload);
+            });
+        rep.endpoint->start();
       }
     }
   }
@@ -186,7 +197,7 @@ class PartialCluster {
   }
 
   bool hosts(core::NodeId n, GroupId g) const {
-    return nodes_.at(n)->logs.contains(g);
+    return nodes_.at(n)->groups.contains(g);
   }
 
   /// A node hosting every group in `groups`, or nullopt — the "judicious
@@ -259,10 +270,10 @@ class PartialCluster {
     }
     for (GroupId g = 0; g < config_.num_groups; ++g) {
       const auto& reps = replicas_[g];
-      const GroupLog& first = nodes_[reps.front()]->logs.at(g);
+      const GroupLog& first = nodes_[reps.front()]->groups.at(g).log;
       if (first.size() != expected[g]) return false;
       for (std::size_t i = 1; i < reps.size(); ++i) {
-        const GroupLog& other = nodes_[reps[i]]->logs.at(g);
+        const GroupLog& other = nodes_[reps[i]]->groups.at(g).log;
         if (other.size() != expected[g] ||
             !(other.state() == first.state())) {
           return false;
@@ -274,24 +285,33 @@ class PartialCluster {
 
   /// The state of group g (at its first replica).
   const typename A::GroupState& group_state(GroupId g) const {
-    return nodes_[replicas_.at(g).front()]->logs.at(g).state();
+    return nodes_[replicas_.at(g).front()]->groups.at(g).log.state();
   }
 
   /// Assemble the formal execution of one group: all transactions that
   /// wrote it, in timestamp order, with group-wise prefix subsequences.
+  /// Prefixes are expanded with the group's resolver: rank k's seq-th
+  /// broadcast on g is replica k's seq-th write to g.
   core::Execution<GroupStateMachine<A>> group_execution(GroupId g) const {
     struct Item {
       const Record* rec;
       const GroupWrite<A>* write;
     };
     std::map<core::Timestamp, Item> by_ts;
-    for (const auto& node : nodes_) {
-      for (const auto& rec : node->originated) {
+    std::vector<std::vector<core::Timestamp>> sent(replicas_.at(g).size());
+    for (std::size_t rank = 0; rank < sent.size(); ++rank) {
+      for (const auto& rec : nodes_[replicas_[g][rank]]->originated) {
         for (const auto& w : rec.writes) {
-          if (w.group == g) by_ts.emplace(rec.ts, Item{&rec, &w});
+          if (w.group != g) continue;
+          by_ts.emplace(rec.ts, Item{&rec, &w});
+          sent[rank].push_back(rec.ts);
         }
       }
     }
+    const core::PrefixRef::Resolver resolve =
+        [&sent](core::NodeId rank, std::uint64_t seq) {
+          return sent[rank].at(seq - 1);
+        };
     std::map<core::Timestamp, std::size_t> index_of;
     std::size_t next = 0;
     for (const auto& [ts, item] : by_ts) index_of.emplace(ts, next++);
@@ -305,7 +325,7 @@ class PartialCluster {
       tx.update = item.write->update;
       tx.external_actions = item.rec->external_actions;
       for (const core::Timestamp& pts :
-           item.rec->group_prefixes.at(g)) {
+           item.rec->group_prefixes.at(g).expand(resolve)) {
         tx.prefix.push_back(index_of.at(pts));
       }
       exec.append(std::move(tx));
@@ -317,61 +337,74 @@ class PartialCluster {
   /// replication.
   std::size_t storage_at(core::NodeId n) const {
     std::size_t total = 0;
-    for (const auto& [g, log] : nodes_.at(n)->logs) total += log.size();
+    for (const auto& [g, rep] : nodes_.at(n)->groups) total += rep.log.size();
     return total;
   }
 
   std::size_t groups_hosted_at(core::NodeId n) const {
-    return nodes_.at(n)->logs.size();
+    return nodes_.at(n)->groups.size();
   }
 
-  const Stats& stats() const { return stats_; }
-  sim::Scheduler& scheduler() { return scheduler_; }
-  const Config& config() const { return config_; }
+  Stats stats() const {
+    Stats s = stats_;
+    for (const auto& node : nodes_) {
+      for (const auto& [g, rep] : node->groups) {
+        s.wires_sent +=
+            rep.endpoint->stats().originated * (replicas_[g].size() - 1);
+      }
+    }
+    return s;
+  }
   const std::vector<Record>& originated_at(core::NodeId n) const {
     return nodes_.at(n)->originated;
   }
 
  private:
-  enum class PacketType { kWire, kDigest, kRepair };
-  struct Wire {
-    GroupId group = 0;
-    core::NodeId origin = 0;
-    std::uint64_t origin_seq = 0;  // per (origin, group)
-    core::Timestamp ts;
-    Update update;
-  };
-  struct Packet {
-    PacketType type = PacketType::kWire;
-    Wire wire;
-    GroupId digest_group = 0;
-    std::vector<std::uint64_t> digest_have;  // per origin node
-    std::vector<Wire> repairs;
+  using Broadcast = net::ReliableBroadcast<typename GroupLog::Entry>;
+
+  /// One hosted group at one node: its log and its broadcast endpoint.
+  struct Replica {
+    explicit Replica(std::size_t checkpoint_interval)
+        : log(checkpoint_interval) {}
+    Replica(const Replica&) = delete;  // the endpoint's callback holds &log
+    Replica& operator=(const Replica&) = delete;
+    GroupLog log;
+    std::unique_ptr<Broadcast> endpoint;
   };
 
   struct NodeState {
-    core::NodeId id;
+    explicit NodeState(core::NodeId n) : clock(n) {}
     core::LamportClock clock;
-    std::map<GroupId, GroupLog> logs;
+    std::map<GroupId, Replica> groups;
     std::vector<Record> originated;
-    /// Per (group, origin): contiguous received prefix + out-of-order
-    /// extras, for dedup and anti-entropy digests. Wire sequence numbers
-    /// are per (origin, group).
-    std::map<GroupId, std::vector<std::uint64_t>> contiguous_have;
-    std::map<GroupId, std::vector<std::unordered_set<std::uint64_t>>> extras;
-    /// Repair store: every wire received, per group/origin/seq.
-    std::map<GroupId, std::map<core::NodeId, std::map<std::uint64_t, Wire>>>
-        store_;
-    std::map<GroupId, std::uint64_t> own_seq;
-
-    NodeState(core::NodeId n, std::size_t) : id(n), clock(n) {}
   };
+
+  /// config_.network with every partition cut restricted to g's replicas,
+  /// which the group's network knows by rank.
+  sim::Network::Config group_network(GroupId g) const {
+    sim::Network::Config cfg = config_.network;
+    cfg.partitions = {};
+    const auto& reps = replicas_[g];
+    for (const sim::PartitionEvent& cut : config_.network.partitions.events()) {
+      sim::PartitionEvent local{cut.start, cut.end, {}};
+      for (const auto& side : cut.groups) {
+        auto& ranks = local.groups.emplace_back();
+        for (core::NodeId rank = 0; rank < reps.size(); ++rank) {
+          if (std::find(side.begin(), side.end(), reps[rank]) != side.end()) {
+            ranks.push_back(rank);
+          }
+        }
+      }
+      cfg.partitions.add(std::move(local));
+    }
+    return cfg;
+  }
 
   Record run_at(core::NodeId node_id, const Request& request, sim::Time now) {
     NodeState& node = *nodes_[node_id];
     const std::vector<GroupId> groups = A::groups_of(request);
     for (GroupId g : groups) {
-      if (!node.logs.contains(g)) {
+      if (!node.groups.contains(g)) {
         throw std::logic_error("routed to a node not hosting a group");
       }
     }
@@ -382,7 +415,7 @@ class PartialCluster {
     rec.request = request;
     const GroupView<A> view =
         [&node](GroupId g) -> const typename A::GroupState& {
-      return node.logs.at(g).state();
+      return node.groups.at(g).log.state();
     };
     PartialDecision<A> decision = A::decide(request, view);
     rec.external_actions = std::move(decision.external_actions);
@@ -391,121 +424,26 @@ class PartialCluster {
     // duplicates because a transaction writes each group at most once.
     rec.ts = node.clock.tick();
     for (const auto& w : rec.writes) {
-      rec.group_prefixes.emplace(w.group,
-                                 node.logs.at(w.group).known_timestamps());
+      rec.group_prefixes.emplace(
+          w.group, node.groups.at(w.group).endpoint->delivered_prefix());
     }
     node.originated.push_back(rec);
     for (const auto& w : rec.writes) {
-      Wire wire;
-      wire.group = w.group;
-      wire.origin = node_id;
-      wire.origin_seq = ++node.own_seq[w.group];
-      wire.ts = rec.ts;
-      wire.update = w.update;
-      ingest(node, wire);  // local merge first
-      for (core::NodeId peer : replicas_[w.group]) {
-        if (peer == node_id) continue;
-        Packet p;
-        p.type = PacketType::kWire;
-        p.wire = wire;
-        ++stats_.wires_sent;
-        network_->send(node_id, peer, std::any(std::move(p)));
-      }
+      // Delivers locally first, then floods the group's other replicas.
+      node.groups.at(w.group).endpoint->broadcast({rec.ts, w.update});
     }
     return rec;
-  }
-
-  void on_message(core::NodeId self, const sim::Message& m) {
-    NodeState& node = *nodes_[self];
-    const auto& p = std::any_cast<const Packet&>(m.payload);
-    switch (p.type) {
-      case PacketType::kWire:
-        ingest(node, p.wire);
-        break;
-      case PacketType::kDigest:
-        answer_digest(self, m.src, p);
-        break;
-      case PacketType::kRepair:
-        for (const Wire& w : p.repairs) ingest(node, w);
-        break;
-    }
-  }
-
-  void ingest(NodeState& node, const Wire& w) {
-    auto& have = node.contiguous_have[w.group];
-    auto& extra = node.extras[w.group];
-    if (have.size() < config_.num_nodes) have.resize(config_.num_nodes, 0);
-    if (extra.size() < config_.num_nodes) extra.resize(config_.num_nodes);
-    if (w.origin_seq <= have[w.origin] ||
-        extra[w.origin].contains(w.origin_seq)) {
-      return;  // duplicate
-    }
-    extra[w.origin].insert(w.origin_seq);
-    while (extra[w.origin].contains(have[w.origin] + 1)) {
-      ++have[w.origin];
-      extra[w.origin].erase(have[w.origin]);
-    }
-    node.store_[w.group][w.origin][w.origin_seq] = w;
-    node.clock.observe(w.ts);
-    node.logs.at(w.group).insert({w.ts, w.update});
-  }
-
-  void schedule_anti_entropy(core::NodeId n) {
-    const sim::Time dt =
-        config_.anti_entropy_interval + rng_.uniform(0.0, 0.1);
-    scheduler_.schedule_after(dt, [this, n] {
-      run_anti_entropy_round(n);
-      schedule_anti_entropy(n);
-    });
-  }
-
-  void run_anti_entropy_round(core::NodeId self) {
-    NodeState& node = *nodes_[self];
-    // One digest per hosted group, to a random co-replica.
-    for (const auto& [g, log] : node.logs) {
-      const auto& reps = replicas_[g];
-      if (reps.size() < 2) continue;
-      core::NodeId peer;
-      do {
-        peer = reps[static_cast<std::size_t>(rng_.uniform_int(
-            0, static_cast<std::int64_t>(reps.size()) - 1))];
-      } while (peer == self);
-      Packet p;
-      p.type = PacketType::kDigest;
-      p.digest_group = g;
-      auto& have = node.contiguous_have[g];
-      if (have.size() < config_.num_nodes) have.resize(config_.num_nodes, 0);
-      p.digest_have = have;
-      network_->send(self, peer, std::any(std::move(p)));
-    }
-  }
-
-  void answer_digest(core::NodeId self, core::NodeId requester,
-                     const Packet& digest) {
-    NodeState& node = *nodes_[self];
-    const GroupId g = digest.digest_group;
-    Packet reply;
-    reply.type = PacketType::kRepair;
-    auto& have = node.contiguous_have[g];
-    if (have.size() < config_.num_nodes) have.resize(config_.num_nodes, 0);
-    for (core::NodeId origin = 0; origin < config_.num_nodes; ++origin) {
-      const std::uint64_t theirs = origin < digest.digest_have.size()
-                                       ? digest.digest_have[origin]
-                                       : 0;
-      for (std::uint64_t seq = theirs + 1; seq <= have[origin]; ++seq) {
-        reply.repairs.push_back(node.store_[g][origin][seq]);
-      }
-    }
-    if (reply.repairs.empty()) return;
-    stats_.repairs_sent += reply.repairs.size();
-    network_->send(self, requester, std::any(std::move(reply)));
   }
 
   Config config_;
   sim::Rng rng_;
   sim::Scheduler scheduler_;
-  std::unique_ptr<sim::Network> network_;
+  runtime::SimExecutor executor_;
   std::vector<std::vector<core::NodeId>> replicas_;
+  /// Per group: its network over replica ranks, and the transport its
+  /// endpoints share.
+  std::vector<std::unique_ptr<sim::Network>> networks_;
+  std::vector<std::unique_ptr<runtime::SimTransport>> transports_;
   std::vector<std::unique_ptr<NodeState>> nodes_;
   Stats stats_;
 };

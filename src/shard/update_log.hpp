@@ -105,8 +105,6 @@ class SoALogStore {
     free_.clear();
   }
 
-  std::vector<core::Timestamp> timestamps() const { return ts_; }
-
   /// Arena observability (tests pin the O(window) reuse claim).
   std::size_t arena_slots() const { return arena_.size(); }
   std::size_t arena_free_slots() const { return free_.size(); }
@@ -222,13 +220,6 @@ class UpdateLog {
   const Update& update_at(std::size_t i) const {
     assert(i < store_.size());
     return store_.update_at(i);
-  }
-
-  /// Timestamps of every known update, in order. This *is* the prefix
-  /// subsequence a decision part sees (paper section 3.1, condition (1)).
-  /// One contiguous column copy.
-  std::vector<core::Timestamp> known_timestamps() const {
-    return store_.timestamps();
   }
 
   bool contains(const core::Timestamp& ts) const {
@@ -366,14 +357,9 @@ class UpdateLog {
     return s;
   }
 
-  /// Timestamps of entries strictly before `ts`.
-  std::vector<core::Timestamp> known_timestamps_before(
-      const core::Timestamp& ts) const {
-    const std::size_t cut = store_.lower_bound(ts);
-    std::vector<core::Timestamp> out;
-    out.reserve(cut);
-    for (std::size_t i = 0; i < cut; ++i) out.push_back(store_.ts_at(i));
-    return out;
+  /// Number of retained entries strictly before `ts`.
+  std::size_t count_before(const core::Timestamp& ts) const {
+    return store_.lower_bound(ts);
   }
 
  private:

@@ -234,6 +234,17 @@ TEST_P(PartialChaos, ShardedBankingSurvivesRandomFailures) {
     for (std::size_t i = 1; i < exec.size(); ++i) {
       ASSERT_LT(exec.tx(i - 1).ts, exec.tx(i).ts);
     }
+    // Expanded group prefixes (holes included under drops and cuts)
+    // reference predecessors only, strictly increasing.
+    for (std::size_t i = 0; i < exec.size(); ++i) {
+      const auto& prefix = exec.tx(i).prefix;
+      for (std::size_t j = 0; j < prefix.size(); ++j) {
+        ASSERT_LT(prefix[j], i) << "group " << g << " tx " << i;
+        if (j > 0) {
+          ASSERT_LT(prefix[j - 1], prefix[j]) << "group " << g;
+        }
+      }
+    }
   }
 }
 

@@ -156,6 +156,40 @@ TEST(Partial, GroupExecutionSatisfiesStructuralConditions) {
   }
 }
 
+TEST(Partial, GroupPrefixRecordsHoleAndExpandsAroundIt) {
+  // Node 0's first deposit is lost to the cut and anti-entropy has not run
+  // yet, so node 1 withdraws having merged only the second one: its
+  // interned group prefix holds rank 0's seq 2 as an extra above an empty
+  // contiguous prefix, and expands to exactly that deposit.
+  shard::PartialCluster<ShardedBanking>::Config cfg;
+  cfg.num_nodes = 2;
+  cfg.num_groups = 1;
+  cfg.replication_factor = 2;
+  cfg.network.delay = sim::Delay::constant(0.01);
+  cfg.network.partitions =
+      sim::FaultPlan{}.split_halves(2, 1, 1.0, 2.0).partitions();
+  cfg.anti_entropy_interval = 5.0;
+  shard::PartialCluster<ShardedBanking> cluster(cfg);
+  cluster.run_until(1.5);
+  cluster.submit_now_at(0, ShardedRequest::deposit(0, 100));
+  cluster.run_until(2.5);
+  cluster.submit_now_at(0, ShardedRequest::deposit(0, 100));
+  cluster.run_until(3.0);
+  const auto withdrawal =
+      cluster.submit_now_at(1, ShardedRequest::withdraw(0, 50));
+  const core::PrefixRef& prefix = withdrawal.group_prefixes.at(0);
+  EXPECT_EQ(prefix.contiguous, (std::vector<std::uint64_t>{0, 0}));
+  EXPECT_EQ(prefix.extras,
+            (std::vector<std::pair<core::NodeId, std::uint64_t>>{{0, 2}}));
+
+  cluster.settle();
+  const auto exec = cluster.group_execution(0);
+  ASSERT_EQ(exec.size(), 3u);
+  EXPECT_EQ(exec.tx(2).ts, withdrawal.ts);
+  EXPECT_EQ(exec.tx(2).prefix, (std::vector<std::size_t>{1}));
+  EXPECT_EQ(exec.missing_count(2), 1u);
+}
+
 TEST(Partial, PerGroupOverdraftBoundHolds) {
   // The Corollary-8 analogue, group-wise: group overdraft <= sum of debit
   // amounts over that group's transactions with missing group-prefixes.
