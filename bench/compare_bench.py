@@ -166,6 +166,56 @@ def key_tolerance(base, key, default):
     return default
 
 
+def gate_within(base, tol, cur, ref, names, prefix=""):
+    """Tolerance gates: each of `names` in `cur` must stay within its
+    (possibly overridden) relative tolerance of the same entry in `ref`.
+    `prefix` names the row ("mode=... ") in messages and override keys."""
+    rc = 0
+    for name in names:
+        key = f"{prefix}{name}"
+        c, b = cur.get(name, 0), ref.get(name, 0)
+        ktol = key_tolerance(base, key, tol)
+        if not within(c, b, ktol):
+            rc |= fail(f"{key}: {c} vs baseline {b} (tol {ktol:.0%})",
+                       key=key, current=c, baseline=b,
+                       allowed=f"±{ktol:.0%}")
+        else:
+            print(f"ok: {key}: {c} (baseline {b})")
+    return rc
+
+
+def gate_bound(key, value, bound, baseline, sep=" "):
+    """Ceiling gate: `value` may not exceed `bound`, which the caller
+    derives from `baseline`."""
+    if value > bound:
+        return fail(f"{key}{sep}{value:.3f} > bound {bound:.3f} "
+                    f"(baseline {baseline:.3f})", key=key, current=value,
+                    baseline=baseline, allowed=f"<= {bound:.3f}")
+    print(f"ok: {key}{sep}{value:.3f} (bound {bound:.3f})")
+    return 0
+
+
+def gate_flags(doc, flags, prefix="", text=None):
+    """Exact gates: every flag in `flags` must be true in `doc`. `text`
+    maps a flag to its failure message (default "<flag> is false")."""
+    rc = 0
+    for flag in flags:
+        if not doc[flag]:
+            what = (text or {}).get(flag, f"{flag} is false")
+            rc |= fail(f"{prefix}{what}", key=f"{prefix}{flag}",
+                       current=False, baseline=True, allowed="exact")
+    return rc
+
+
+def gate_missing(base_rows, cur_rows, what):
+    """Exact gate: every baseline row must be present in the current run."""
+    missing = sorted(set(base_rows) - set(cur_rows))
+    if not missing:
+        return 0
+    return fail(f"{what} missing from current run: {missing}", key=what,
+                current=f"missing {missing}")
+
+
 def compare_e20(base, cur, tol):
     rc = 0
     base_points = {p["n"]: p for p in base["points"]}
@@ -178,50 +228,24 @@ def compare_e20(base, cur, tol):
         if bp is None:
             print(f"note: scale n={n} has no baseline point; skipping")
             continue
-        counters = point["metrics"]["counters"]
-        bcounters = bp["metrics"]["counters"]
-        for name in E20_COUNTERS:
-            c, b = counters.get(name, 0), bcounters.get(name, 0)
-            ktol = key_tolerance(base, f"n={n} {name}", tol)
-            if not within(c, b, ktol):
-                rc |= fail(f"n={n} {name}: {c} vs baseline {b} (tol {ktol:.0%})",
-                           key=f"n={n} {name}", current=c, baseline=b,
-                           allowed=f"±{ktol:.0%}")
-            else:
-                print(f"ok: n={n} {name}: {c} (baseline {b})")
+        rc |= gate_within(base, tol, point["metrics"]["counters"],
+                          bp["metrics"]["counters"], E20_COUNTERS, f"n={n} ")
         tail = point["tail_ratio"]
         btail = bp["tail_ratio"]
-        bound = max(FLATNESS_FLOOR, btail * (1 + tol))
         if n != gate_tail_at:
             print(f"info: n={n} tail_ratio {tail:.3f} (small scale; not gated)")
-        elif tail > bound:
-            rc |= fail(f"n={n} tail_ratio {tail:.3f} > bound {bound:.3f} "
-                       f"(baseline {btail:.3f})",
-                       key=f"n={n} tail_ratio", current=tail, baseline=btail,
-                       allowed=f"<= {bound:.3f}")
         else:
-            print(f"ok: n={n} tail_ratio {tail:.3f} (bound {bound:.3f})")
+            rc |= gate_bound(f"n={n} tail_ratio", tail,
+                             max(FLATNESS_FLOOR, btail * (1 + tol)), btail)
         spr = point["slots_per_record"]
         bspr = bp["slots_per_record"]
-        sbound = max(bspr * (1 + tol), bspr + 0.5)
-        if spr > sbound:
-            rc |= fail(f"n={n} slots_per_record {spr:.3f} > bound "
-                       f"{sbound:.3f} (baseline {bspr:.3f})",
-                       key=f"n={n} slots_per_record", current=spr,
-                       baseline=bspr, allowed=f"<= {sbound:.3f}")
-        else:
-            print(f"ok: n={n} slots_per_record {spr:.3f} (bound {sbound:.3f})")
+        rc |= gate_bound(f"n={n} slots_per_record", spr,
+                         max(bspr * (1 + tol), bspr + 0.5), bspr)
         print(f"info: n={n} per_submit_us {point['per_submit_us']:.2f} "
               f"(baseline {bp['per_submit_us']:.2f}; not gated)")
     flat, bflat = cur["flatness_ratio"], base["flatness_ratio"]
-    fbound = max(FLATNESS_FLOOR, bflat * (1 + tol))
-    if flat > fbound:
-        rc |= fail(f"flatness_ratio {flat:.3f} > bound {fbound:.3f} "
-                   f"(baseline {bflat:.3f})",
-                   key="flatness_ratio", current=flat, baseline=bflat,
-                   allowed=f"<= {fbound:.3f}")
-    else:
-        print(f"ok: flatness_ratio {flat:.3f} (bound {fbound:.3f})")
+    rc |= gate_bound("flatness_ratio", flat,
+                     max(FLATNESS_FLOOR, bflat * (1 + tol)), bflat)
     return rc
 
 
@@ -257,14 +281,8 @@ def compare_e10(base, cur, tol):
         if bratio is None:
             print(f"note: {name} has no baseline; skipping")
             continue
-        bound = max(bratio * (1 + tol), bratio + 0.25)
-        if ratio > bound:
-            rc |= fail(f"{name}: {ratio:.3f} > bound {bound:.3f} "
-                       f"(baseline {bratio:.3f})",
-                       key=name, current=ratio, baseline=bratio,
-                       allowed=f"<= {bound:.3f}")
-        else:
-            print(f"ok: {name}: {ratio:.3f} (bound {bound:.3f})")
+        rc |= gate_bound(name, ratio, max(bratio * (1 + tol), bratio + 0.25),
+                         bratio, sep=": ")
     return rc
 
 
@@ -289,27 +307,17 @@ def compare_e22(base, cur, tol):
     base_rows = {r["mode"]: r for r in base["rows"]}
     for row in cur["rows"]:
         mode = row["mode"]
-        if not row["checker_clean"]:
-            rc |= fail(f"mode={mode} checker_clean is false",
-                       key=f"mode={mode} checker_clean", current=False,
-                       baseline=True, allowed="exact")
+        flags = gate_flags(row, ("checker_clean",), f"mode={mode} ")
+        if flags:
+            rc |= flags
             continue
         br = base_rows.get(mode)
         if br is None:
             print(f"note: mode={mode} has no baseline row; skipping")
             continue
-        counters = row["metrics"]["counters"]
-        bcounters = br["metrics"]["counters"]
-        for name in E22_COUNTERS:
-            c, b = counters.get(name, 0), bcounters.get(name, 0)
-            ktol = key_tolerance(base, f"mode={mode} {name}", tol)
-            if not within(c, b, ktol):
-                rc |= fail(f"mode={mode} {name}: {c} vs baseline {b} "
-                           f"(tol {ktol:.0%})",
-                           key=f"mode={mode} {name}", current=c, baseline=b,
-                           allowed=f"±{ktol:.0%}")
-            else:
-                print(f"ok: mode={mode} {name}: {c} (baseline {b})")
+        rc |= gate_within(base, tol, row["metrics"]["counters"],
+                          br["metrics"]["counters"], E22_COUNTERS,
+                          f"mode={mode} ")
         gauges = row["metrics"]["gauges"]
         bgauges = br["metrics"]["gauges"]
         for name in E22_GAUGES:
@@ -325,10 +333,8 @@ def compare_e22(base, cur, tol):
                            allowed=f"±{slack:.3f}")
             else:
                 print(f"ok: mode={mode} {name}: {g:.3f} (baseline {b:.3f})")
-    missing = set(base_rows) - {r["mode"] for r in cur["rows"]}
-    if missing:
-        rc |= fail(f"fault modes missing from current run: {sorted(missing)}",
-                   key="fault modes", current="missing " + str(sorted(missing)))
+    rc |= gate_missing(base_rows, [r["mode"] for r in cur["rows"]],
+                       "fault modes")
     return rc
 
 
@@ -356,41 +362,23 @@ def compare_e23(base, cur, tol):
         # The differential gate is binary: streaming must match the post-hoc
         # oracles on every run, and the bounded row must have drained to a
         # window-sized footprint. Any drift here is an instant failure.
-        if not row["agrees"]:
-            rc |= fail(f"mode={mode} streaming/oracle agreement is false",
-                       key=f"mode={mode} agrees", current=False,
-                       baseline=True, allowed="exact")
-            continue
-        if not row["window_bounded"]:
-            rc |= fail(f"mode={mode} window_bounded is false",
-                       key=f"mode={mode} window_bounded", current=False,
-                       baseline=True, allowed="exact")
+        flags = gate_flags(row, ("agrees", "window_bounded"), f"mode={mode} ",
+                           {"agrees": "streaming/oracle agreement is false"})
+        if flags:
+            rc |= flags
             continue
         br = base_rows.get(mode)
         if br is None:
             print(f"note: mode={mode} has no baseline row; skipping")
             continue
-        counters = row["metrics"]["counters"]
-        bcounters = br["metrics"]["counters"]
-        for name in E23_COUNTERS:
-            c, b = counters.get(name, 0), bcounters.get(name, 0)
-            ktol = key_tolerance(base, f"mode={mode} {name}", tol)
-            if not within(c, b, ktol):
-                rc |= fail(f"mode={mode} {name}: {c} vs baseline {b} "
-                           f"(tol {ktol:.0%})",
-                           key=f"mode={mode} {name}", current=c, baseline=b,
-                           allowed=f"±{ktol:.0%}")
-            else:
-                print(f"ok: mode={mode} {name}: {c} (baseline {b})")
+        rc |= gate_within(base, tol, row["metrics"]["counters"],
+                          br["metrics"]["counters"], E23_COUNTERS,
+                          f"mode={mode} ")
         if "overhead_pct_vs_off" in row:
             print(f"info: mode={mode} overhead_pct_vs_off "
                   f"{row['overhead_pct_vs_off']:.1f} (wall clock; not gated)")
-    missing = set(base_rows) - {r["mode"] for r in cur["rows"]}
-    if missing:
-        rc |= fail(f"checker modes missing from current run: "
-                   f"{sorted(missing)}",
-                   key="checker modes",
-                   current="missing " + str(sorted(missing)))
+    rc |= gate_missing(base_rows, [r["mode"] for r in cur["rows"]],
+                       "checker modes")
     return rc
 
 
@@ -424,11 +412,8 @@ def compare_e24(base, cur, tol):
         seed = row["seed"]
         # Merge and validator gates are exact: the k-way merge must
         # reconstruct the capture, and the causal graph must stay clean.
-        for flag in ("merged_matches_capture", "clean"):
-            if not row[flag]:
-                rc |= fail(f"seed={seed} {flag} is false",
-                           key=f"seed={seed} {flag}", current=False,
-                           baseline=True, allowed="exact")
+        rc |= gate_flags(row, ("merged_matches_capture", "clean"),
+                         f"seed={seed} ")
         br = base_rows.get(seed)
         if br is None:
             print(f"note: seed={seed} has no baseline row; skipping")
@@ -441,31 +426,10 @@ def compare_e24(base, cur, tol):
                        baseline=b, allowed="exact")
         else:
             print(f"ok: seed={seed} trace_digest: {c}")
-        for name in E24_ROW_KEYS:
-            c, b = row.get(name, 0), br.get(name, 0)
-            ktol = key_tolerance(base, f"seed={seed} {name}", tol)
-            if not within(c, b, ktol):
-                rc |= fail(f"seed={seed} {name}: {c} vs baseline {b} "
-                           f"(tol {ktol:.0%})",
-                           key=f"seed={seed} {name}", current=c, baseline=b,
-                           allowed=f"±{ktol:.0%}")
-            else:
-                print(f"ok: seed={seed} {name}: {c} (baseline {b})")
-    counters = cur["metrics"]["counters"]
-    bcounters = base["metrics"]["counters"]
-    for name in E24_COUNTERS:
-        c, b = counters.get(name, 0), bcounters.get(name, 0)
-        ktol = key_tolerance(base, name, tol)
-        if not within(c, b, ktol):
-            rc |= fail(f"{name}: {c} vs baseline {b} (tol {ktol:.0%})",
-                       key=name, current=c, baseline=b,
-                       allowed=f"±{ktol:.0%}")
-        else:
-            print(f"ok: {name}: {c} (baseline {b})")
-    missing = set(base_rows) - {r["seed"] for r in cur["rows"]}
-    if missing:
-        rc |= fail(f"seeds missing from current run: {sorted(missing)}",
-                   key="seeds", current="missing " + str(sorted(missing)))
+        rc |= gate_within(base, tol, row, br, E24_ROW_KEYS, f"seed={seed} ")
+    rc |= gate_within(base, tol, cur["metrics"]["counters"],
+                      base["metrics"]["counters"], E24_COUNTERS)
+    rc |= gate_missing(base_rows, [r["seed"] for r in cur["rows"]], "seeds")
     return rc
 
 
@@ -513,12 +477,9 @@ def e25_replay_ratio(counters):
 
 
 def compare_e25(base, cur, tol):
-    rc = 0
-    if not cur["rows_agree"]:
-        rc |= fail("rows_agree is false (replica states diverged across "
-                   "ablation rows)",
-                   key="rows_agree", current=False, baseline=True,
-                   allowed="exact")
+    rc = gate_flags(cur, ("rows_agree",), text={
+        "rows_agree": "rows_agree is false (replica states diverged across "
+                      "ablation rows)"})
     floor = E25_SPEEDUP_FLOOR
     speedup = cur.get(E25_SPEEDUP_KEY)
     if speedup is None:
@@ -536,11 +497,8 @@ def compare_e25(base, cur, tol):
     base_rows = {r["mode"]: r for r in base["rows"]}
     for row in cur["rows"]:
         mode = row["mode"]
-        for flag in ("converged", "decisions_ok", "counters_repeat"):
-            if not row[flag]:
-                rc |= fail(f"mode={mode} {flag} is false",
-                           key=f"mode={mode} {flag}", current=False,
-                           baseline=True, allowed="exact")
+        rc |= gate_flags(row, ("converged", "decisions_ok", "counters_repeat"),
+                         f"mode={mode} ")
         counters = row["metrics"]["counters"]
         ratio = e25_replay_ratio(counters)
         ceiling = E25_REPLAY_RATIO_CEILING
@@ -564,26 +522,13 @@ def compare_e25(base, cur, tol):
         if br is None:
             print(f"note: mode={mode} has no baseline row; skipping")
             continue
-        bcounters = br["metrics"]["counters"]
-        for name in E25_COUNTERS:
-            c, b = counters.get(name, 0), bcounters.get(name, 0)
-            ktol = key_tolerance(base, f"mode={mode} {name}", tol)
-            if not within(c, b, ktol):
-                rc |= fail(f"mode={mode} {name}: {c} vs baseline {b} "
-                           f"(tol {ktol:.0%})",
-                           key=f"mode={mode} {name}", current=c, baseline=b,
-                           allowed=f"±{ktol:.0%}")
-            else:
-                print(f"ok: mode={mode} {name}: {c} (baseline {b})")
+        rc |= gate_within(base, tol, counters, br["metrics"]["counters"],
+                          E25_COUNTERS, f"mode={mode} ")
         print(f"info: mode={mode} tx_per_sec_per_node "
               f"{row['tx_per_sec_per_node']:.1f} wall_seconds "
               f"{row['wall_seconds']:.3f} (wall clock; not gated)")
-    missing = set(base_rows) - {r["mode"] for r in cur["rows"]}
-    if missing:
-        rc |= fail(f"ablation rows missing from current run: "
-                   f"{sorted(missing)}",
-                   key="ablation rows",
-                   current="missing " + str(sorted(missing)))
+    rc |= gate_missing(base_rows, [r["mode"] for r in cur["rows"]],
+                       "ablation rows")
     return rc
 
 
@@ -620,41 +565,16 @@ def compare_e26(base, cur, tol):
         # Forensic gates are exact: bundles must be byte-deterministic,
         # admission attribution must hold for every in-stream incident, and
         # the flame self-diff must be empty.
-        for flag in ("bundle_deterministic", "attribution_ok",
-                     "self_diff_clean"):
-            if not row[flag]:
-                rc |= fail(f"seed={seed} {flag} is false",
-                           key=f"seed={seed} {flag}", current=False,
-                           baseline=True, allowed="exact")
+        rc |= gate_flags(row, ("bundle_deterministic", "attribution_ok",
+                               "self_diff_clean"), f"seed={seed} ")
         br = base_rows.get(seed)
         if br is None:
             print(f"note: seed={seed} has no baseline row; skipping")
             continue
-        for name in E26_ROW_KEYS:
-            c, b = row.get(name, 0), br.get(name, 0)
-            ktol = key_tolerance(base, f"seed={seed} {name}", tol)
-            if not within(c, b, ktol):
-                rc |= fail(f"seed={seed} {name}: {c} vs baseline {b} "
-                           f"(tol {ktol:.0%})",
-                           key=f"seed={seed} {name}", current=c, baseline=b,
-                           allowed=f"±{ktol:.0%}")
-            else:
-                print(f"ok: seed={seed} {name}: {c} (baseline {b})")
-    counters = cur["metrics"]["counters"]
-    bcounters = base["metrics"]["counters"]
-    for name in E26_COUNTERS:
-        c, b = counters.get(name, 0), bcounters.get(name, 0)
-        ktol = key_tolerance(base, name, tol)
-        if not within(c, b, ktol):
-            rc |= fail(f"{name}: {c} vs baseline {b} (tol {ktol:.0%})",
-                       key=name, current=c, baseline=b,
-                       allowed=f"±{ktol:.0%}")
-        else:
-            print(f"ok: {name}: {c} (baseline {b})")
-    missing = set(base_rows) - {r["seed"] for r in cur["rows"]}
-    if missing:
-        rc |= fail(f"seeds missing from current run: {sorted(missing)}",
-                   key="seeds", current="missing " + str(sorted(missing)))
+        rc |= gate_within(base, tol, row, br, E26_ROW_KEYS, f"seed={seed} ")
+    rc |= gate_within(base, tol, cur["metrics"]["counters"],
+                      base["metrics"]["counters"], E26_COUNTERS)
+    rc |= gate_missing(base_rows, [r["seed"] for r in cur["rows"]], "seeds")
     return rc
 
 
@@ -671,56 +591,50 @@ E27_COUNTERS = [
 
 
 def compare_e27(base, cur, tol):
-    rc = 0
     des = cur["des"]
     # The DES row's gates are exact: the port must stay byte-deterministic
     # and checker-clean.
-    for flag in ("deterministic", "checker_clean"):
-        if not des[flag]:
-            rc |= fail(f"des {flag} is false", key=f"des {flag}",
-                       current=False, baseline=True, allowed="exact")
-    bdes = base["des"]
-    c, b = des["trace_events"], bdes["trace_events"]
-    ktol = key_tolerance(base, "des trace_events", tol)
-    if not within(c, b, ktol):
-        rc |= fail(f"des trace_events: {c} vs baseline {b} (tol {ktol:.0%})",
-                   key="des trace_events", current=c, baseline=b,
-                   allowed=f"±{ktol:.0%}")
-    else:
-        print(f"ok: des trace_events: {c} (baseline {b})")
-    counters = cur["metrics"]["counters"]
-    bcounters = base["metrics"]["counters"]
-    for name in E27_COUNTERS:
-        c, b = counters.get(name, 0), bcounters.get(name, 0)
-        ktol = key_tolerance(base, name, tol)
-        if not within(c, b, ktol):
-            rc |= fail(f"{name}: {c} vs baseline {b} (tol {ktol:.0%})",
-                       key=name, current=c, baseline=b,
-                       allowed=f"±{ktol:.0%}")
-        else:
-            print(f"ok: {name}: {c} (baseline {b})")
+    rc = gate_flags(des, ("deterministic", "checker_clean"), "des ")
+    rc |= gate_within(base, tol, des, base["des"], ["trace_events"], "des ")
+    rc |= gate_within(base, tol, cur["metrics"]["counters"],
+                      base["metrics"]["counters"], E27_COUNTERS)
     print(f"info: des updates_per_wall_s {des['updates_per_wall_s']:.1f} "
           f"(wall clock; not gated)")
     # Threaded rows: nothing about a real-thread run is deterministic, so
     # the only gates are the exact booleans; counts and wall are reported.
     for row in cur["threaded"]:
         seed = row["seed"]
-        for flag in ("converged", "checker_clean", "fates_ok"):
-            if not row[flag]:
-                rc |= fail(f"threaded seed={seed} {flag} is false",
-                           key=f"threaded seed={seed} {flag}", current=False,
-                           baseline=True, allowed="exact")
+        rc |= gate_flags(row, ("converged", "checker_clean", "fates_ok"),
+                         f"threaded seed={seed} ")
         print(f"info: threaded seed={seed} sends {row['sends']} "
               f"updates_per_wall_s {row['updates_per_wall_s']:.1f} "
               f"(nondeterministic; not gated)")
-    missing = ({r["seed"] for r in base["threaded"]} -
-               {r["seed"] for r in cur["threaded"]})
-    if missing:
-        rc |= fail(f"threaded seeds missing from current run: "
-                   f"{sorted(missing)}",
-                   key="threaded seeds",
-                   current="missing " + str(sorted(missing)))
+    rc |= gate_missing([r["seed"] for r in base["threaded"]],
+                       [r["seed"] for r in cur["threaded"]], "threaded seeds")
     return rc
+
+
+COMPARE = {"e10": compare_e10, "e20": compare_e20, "e22": compare_e22,
+           "e23": compare_e23, "e24": compare_e24, "e25": compare_e25,
+           "e26": compare_e26, "e27": compare_e27}
+
+
+def _selftest_e22_doc():
+    """Minimal e22 document that passes its own gates."""
+    def row(mode):
+        return {"mode": mode, "checker_clean": True,
+                "metrics": {"counters": {"e22.txs": 500, "engine.crashes": 2},
+                            "gauges": {"e22.availability": 0.98}}}
+    return {"rows": [row("clean"), row("crash-amnesia")]}
+
+
+def _selftest_e23_doc():
+    """Minimal e23 document that passes its own gates."""
+    def row(mode):
+        return {"mode": mode, "agrees": True, "window_bounded": True,
+                "metrics": {"counters": {"e23.txs": 500,
+                                         "checker.deliveries": 2000}}}
+    return {"rows": [row("streaming"), row("streaming-byz")]}
 
 
 def _selftest_e27_doc():
@@ -918,6 +832,26 @@ def selftest():
     noisy["des"]["wall_seconds"] = 9.9
     check("e27 ignores wall/send noise", compare_e27(doc, noisy, 0.15) == 0)
 
+    # compare_e22 and compare_e23 end to end: identity passes; each false
+    # exact flag, a dropped row, or counter drift fails.
+    for kind, doc, flags in (
+            ("e22", _selftest_e22_doc(), ("checker_clean",)),
+            ("e23", _selftest_e23_doc(), ("agrees", "window_bounded"))):
+        compare = COMPARE[kind]
+        check(f"{kind} identity passes",
+              compare(doc, copy.deepcopy(doc), 0.15) == 0)
+        for flag in flags:
+            bad = copy.deepcopy(doc)
+            bad["rows"][1][flag] = False
+            check(f"{kind} catches a false {flag}",
+                  compare(doc, bad, 0.15) != 0)
+        bad = copy.deepcopy(doc)
+        del bad["rows"][0]
+        check(f"{kind} catches a dropped row", compare(doc, bad, 0.15) != 0)
+        bad = copy.deepcopy(doc)
+        bad["rows"][0]["metrics"]["counters"][f"{kind}.txs"] = 5000
+        check(f"{kind} catches counter drift", compare(doc, bad, 0.15) != 0)
+
     FAILURES.clear()  # Probe-induced failures are expected, not reportable.
     print("SELFTEST " + ("PASS" if rc == 0 else "FAIL"))
     return rc
@@ -941,26 +875,12 @@ def main(argv):
     except (OSError, json.JSONDecodeError) as e:
         print(f"error loading inputs: {e}")
         return 2
-    if kind == "e20":
-        rc = compare_e20(base, cur, tol)
-    elif kind == "e10":
-        rc = compare_e10(base, cur, tol)
-    elif kind == "e22":
-        rc = compare_e22(base, cur, tol)
-    elif kind == "e23":
-        rc = compare_e23(base, cur, tol)
-    elif kind == "e24":
-        rc = compare_e24(base, cur, tol)
-    elif kind == "e25":
-        rc = compare_e25(base, cur, tol)
-    elif kind == "e26":
-        rc = compare_e26(base, cur, tol)
-    elif kind == "e27":
-        rc = compare_e27(base, cur, tol)
-    else:
+    compare = COMPARE.get(kind)
+    if compare is None:
         print(f"unknown kind {kind!r} (want e10, e20, e22, e23, e24, e25, "
               f"e26 or e27)")
         return 2
+    rc = compare(base, cur, tol)
     if rc != 0 and FAILURES:
         print_failure_summary()
     print("PASS" if rc == 0 else "FAIL")

@@ -7,12 +7,13 @@
 // transaction index back to its globally-unique timestamp, prints the
 // update's CAUSAL CHAIN (originate -> fan-out -> per-replica deliver ->
 // merge, joined by obs::CausalGraph over the retained ring), its
-// provenance timeline when a LifecycleTracker is supplied, and finally the
-// ring window around every event that mentions the update — chain first,
-// because "which path did this update take" is the question a violated
-// theorem poses.
+// per-replica provenance (the update's obs::FlameProfile timing row), and
+// finally the ring window around every event that mentions the update —
+// chain first, because "which path did this update take" is the question a
+// violated theorem poses.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <sstream>
 #include <string>
@@ -20,8 +21,9 @@
 #include "analysis/report.hpp"
 #include "core/execution.hpp"
 #include "obs/causal.hpp"
+#include "obs/epoch.hpp"
+#include "obs/flame.hpp"
 #include "obs/incident.hpp"
-#include "obs/lifecycle.hpp"
 #include "obs/tracer.hpp"
 
 namespace analysis {
@@ -39,20 +41,30 @@ inline std::string trace_dump(const obs::IncidentReport& incidents) {
 /// Render the trace context for every transaction a report's violations
 /// attribute (CheckReport::violating_txs). Empty string when the report is
 /// clean. `context` = events of surrounding context kept on each side of
-/// every matching trace event (obs::TraceSource::slice_around). `lifecycle`,
-/// when non-null, adds the update's per-replica provenance timeline —
-/// lifecycle state covers the whole run, so it survives ring eviction.
+/// every matching trace event (obs::TraceSource::slice_around). Provenance
+/// is printed whenever the update's originate event is still in the ring;
+/// it lists every node of the ring's node tracks, so a node that never
+/// delivered the update shows as such.
 template <core::Application App>
 std::string trace_dump(const CheckReport& report,
                        const core::Execution<App>& exec,
-                       const obs::TraceSource& tracer, std::size_t context = 6,
-                       const obs::LifecycleTracker* lifecycle = nullptr) {
+                       const obs::TraceSource& tracer,
+                       std::size_t context = 6) {
   if (report.ok()) return {};
   std::ostringstream os;
   os << "trace context for "
      << (report.title().empty() ? "check" : report.title()) << ":\n";
   const std::vector<obs::Event> ring = tracer.ring();
   const obs::CausalGraph graph = obs::CausalGraph::build(ring);
+  const obs::FlameProfile flame =
+      obs::FlameProfile::build(ring, graph, obs::EpochIndex::build(ring));
+  // The ring comes from a live run, so its node ids are the cluster's.
+  std::size_t nodes = 0;
+  for (const obs::Event& e : ring) {
+    if (e.node != obs::kControlNode) {
+      nodes = std::max<std::size_t>(nodes, std::size_t{e.node} + 1);
+    }
+  }
   for (std::size_t i : report.violating_txs()) {
     if (i >= exec.size()) continue;
     const core::Timestamp& ts = exec.tx(i).ts;
@@ -65,10 +77,10 @@ std::string trace_dump(const CheckReport& report,
         os << "  [" << k << "] " << obs::serialize({ring[k]});
       }
     }
-    if (lifecycle != nullptr) {
-      obs::ProvenanceTimeline tl;
-      if (lifecycle->timeline(ts.logical, ts.node, tl)) {
-        os << "provenance:\n" << tl.render();
+    for (const obs::UpdateTiming& ut : flame.timings()) {
+      if (ut.key == obs::CausalGraph::UpdateKey{ts.logical, ts.node}) {
+        os << "provenance:\n" << ut.render_provenance(nodes);
+        break;
       }
     }
     const std::vector<obs::Event> slice =

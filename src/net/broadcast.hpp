@@ -451,8 +451,9 @@ class ReliableBroadcast {
     }
     const std::size_t peers = net_->send_to_all(self_, std::any(std::move(p)));
     if (tracer_) {
-      // Per-wire send events keep the causal/lifecycle derivations working
-      // unchanged; the batch event on top carries the coalescing itself.
+      // Per-wire send events keep each update's causal chain (and so its
+      // flood fan-out) unchanged; the batch event on top carries the
+      // coalescing itself.
       for (const std::uint64_t seq : seqs) {
         tracer_->record(obs::EventType::kBroadcastSend, now, self_, 0, 0, seq,
                         peers);

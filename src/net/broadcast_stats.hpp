@@ -17,7 +17,10 @@ struct BroadcastStats {
   std::uint64_t delivered = 0;         ///< Payloads delivered upward.
   std::uint64_t duplicates_dropped = 0;///< Re-received payloads ignored.
   std::uint64_t causally_buffered = 0; ///< Arrivals parked awaiting deps.
-  std::uint64_t anti_entropy_rounds = 0;   ///< Digests sent.
+  std::uint64_t anti_entropy_rounds = 0;   ///< Periodic rounds that sent a
+                                           ///< digest (one each; repair
+                                           ///< continuations are counted in
+                                           ///< continuation_digests).
   std::uint64_t anti_entropy_repairs = 0;  ///< Payloads resent to peers.
   std::uint64_t repairs_truncated = 0;     ///< Repair replies capped by
                                            ///< max_repairs_per_message.

@@ -30,8 +30,15 @@
 // whose first merge completes LAST — its length (tm* - t0) is the update's
 // stabilization latency, and its dominant stage names what to fix. Per
 // epoch, the profile carries critical-path statistics and dominant-stage
-// counts next to the flame tree; Cluster::metrics() exports them as the
-// epoch.* counter family.
+// counts next to the flame tree.
+//
+// The same walk keeps one cell per node that delivered the update (the
+// origin's local delivery included), and export_to() derives every
+// replication metric from those rows: the epoch.* family, the lifecycle.*
+// family (originate -> last replica's merge, undo churn, divergence) and
+// the causal.* latency breakdowns. One join of the trace, one derivation
+// per latency; Cluster::metrics() runs it over the retained ring through
+// export_replication_metrics().
 //
 // All weights are integer microseconds (llround of simulated seconds *
 // 1e6): exporters emit integers only (plus shortest-round-trip epoch
@@ -50,6 +57,8 @@
 
 namespace obs {
 
+class MetricsRegistry;
+
 /// One frame of a flame tree. Children are keyed by frame name in a
 /// std::map, so every traversal is deterministic.
 struct FlameNode {
@@ -59,13 +68,29 @@ struct FlameNode {
   std::map<std::string, FlameNode> children;
 };
 
-/// Per-update stage timing — the raw rows the flame trees fold. Exposed for
-/// tests and the CLI's per-update view.
+/// One node's view of an update's replication.
+struct ReplicaCell {
+  sim::NodeId node = 0;
+  double deliver = 0.0;         ///< First broadcast delivery at this node.
+  double merge = -1.0;          ///< First merge after it (< 0: none seen).
+  bool mid_insert = false;      ///< That merge was out of order ...
+  std::uint64_t displaced = 0;  ///< ... and displaced this many entries.
+};
+
+/// Per-update stage timing — the raw rows the flame trees fold and the
+/// replication metrics derive from.
 struct UpdateTiming {
   CausalGraph::UpdateKey key{0, 0};
   std::size_t epoch = 0;      ///< Epoch of the originate event.
+  sim::NodeId origin = 0;     ///< Node that recorded the originate event.
   double originate = 0.0;     ///< t0.
   double send = 0.0;          ///< ts (== t0 when the flood was immediate).
+  bool flooded = false;       ///< The origin's flood send is in the stream.
+  std::uint64_t fanout = 0;   ///< Datagrams that flood sent.
+  /// One cell per node that delivered the update, in first-delivery record
+  /// order. Keyed by node id but never indexed by it: a stream read from a
+  /// file may carry any 32-bit id.
+  std::vector<ReplicaCell> cells;
   std::uint32_t replicas = 0; ///< Remote replicas whose first merge was seen.
   bool complete = false;      ///< At least one remote replica merged.
   double critical_end = 0.0;  ///< tm* — last replica's first merge time.
@@ -79,6 +104,11 @@ struct UpdateTiming {
   std::int64_t critical_us() const {
     return crit_flood_us + crit_deliver_us + crit_merge_us;
   }
+
+  /// Provenance table, one line per node in [0, nodes): delivery and merge
+  /// times relative to the originate, and the entries a mid-insert
+  /// displaced. What the checker dump prints.
+  std::string render_provenance(std::size_t nodes) const;
 };
 
 /// One epoch's attribution: the flame tree plus the summary statistics the
@@ -134,9 +164,25 @@ class FlameProfile {
   /// — stabilization latency laid out on the simulated timeline.
   std::string perfetto_json() const;
 
+  /// Fold the profile into `reg`: epoch.* from the epoch profiles, and
+  /// lifecycle.* / causal.* from the replica cells of a `cluster_size`-node
+  /// run. `epochs` is the index the profile was built with. Cells of node
+  /// ids at or above `cluster_size` are skipped. Merges count as monotone
+  /// knowledge: a node's first merge is the one that counts, so a re-merge
+  /// after an amnesia restart changes nothing.
+  void export_to(MetricsRegistry& reg, const EpochIndex& epochs,
+                 std::size_t cluster_size) const;
+
  private:
   std::vector<EpochProfile> epochs_;
   std::vector<UpdateTiming> timings_;
 };
+
+/// The replication metrics of a `cluster_size`-node run's retained trace:
+/// build the epoch index, causal graph and flame profile of `ring` and fold
+/// them into `reg` (FlameProfile::export_to).
+void export_replication_metrics(const std::vector<Event>& ring,
+                                std::size_t cluster_size,
+                                MetricsRegistry& reg);
 
 }  // namespace obs

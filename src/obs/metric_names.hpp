@@ -11,10 +11,10 @@
 // (tests/test_incident.cpp).
 //
 // Only cross-referenced families are hoisted: checker.* (streaming
-// checker), epoch.* (cluster flame derivation), causal.*/lifecycle.*
-// (lifecycle tracker), broadcast.* (BroadcastStats). engine.*/net.*/
-// cluster.*/retained.*/trace.* names appear at exactly one export site
-// each and stay there.
+// checker), epoch.*/causal.*/lifecycle.* (the replication metrics
+// obs::export_replication_metrics derives from one timing row per update),
+// broadcast.* (BroadcastStats). engine.*/net.*/cluster.*/retained.*/trace.*
+// names appear at exactly one export site each and stay there.
 #pragma once
 
 #include <array>
@@ -42,7 +42,7 @@ inline constexpr const char* kCheckerFinalizeLag = "checker.finalize_lag";
 inline constexpr const char* kCheckerDetectionLatency =
     "checker.detection_latency";
 
-// --- epoch.* — shard::Cluster::metrics flame derivation -----------------
+// --- epoch.* — obs::export_replication_metrics, per-epoch profiles ------
 inline constexpr const char* kEpochCount = "epoch.count";
 inline constexpr const char* kEpochTransitions = "epoch.transitions";
 inline constexpr const char* kEpochCoalesced = "epoch.coalesced";
@@ -61,7 +61,7 @@ inline constexpr const char* kEpochCriticalPathSeconds =
 /// ("epoch.dominant.<stage>"); the stage suffix is data, not a name.
 inline constexpr const char* kEpochDominantPrefix = "epoch.dominant.";
 
-// --- causal.* / lifecycle.* — obs::LifecycleTracker::export_to ----------
+// --- causal.* / lifecycle.* — obs::export_replication_metrics, cells ---
 inline constexpr const char* kCausalDeliverLatency = "causal.deliver_latency";
 inline constexpr const char* kCausalFirstDeliverLatency =
     "causal.first_deliver_latency";

@@ -3,10 +3,11 @@
 // Before this layer every bench hand-rolled its own printf JSON over a
 // different subset of EngineStats/BroadcastStats/NetworkStats. The registry
 // is the single folding point: stats structs export themselves into it
-// (EngineStats::export_to, BroadcastStats::export_to), the lifecycle
-// tracker adds trace-derived histograms, and `to_json()` emits one
-// machine-readable document. `from_json()` parses exactly that grammar
-// back, so snapshots can be diffed/round-tripped by tools and tests.
+// (EngineStats::export_to, BroadcastStats::export_to), the flame profile
+// adds the trace-derived replication histograms
+// (export_replication_metrics), and `to_json()` emits one machine-readable
+// document. `from_json()` parses exactly that grammar back, so snapshots
+// can be diffed/round-tripped by tools and tests.
 #pragma once
 
 #include <cstdint>

@@ -20,8 +20,8 @@
 //
 // Sinks attached through the TraceSource surface are fanned out to every
 // shard; shard dispatch is synchronous, so a global sink still observes
-// events in the exact global record order (the lifecycle tracker and the
-// determinism captures rely on this).
+// events in the exact global record order (the determinism captures rely
+// on this).
 #pragma once
 
 #include <atomic>

@@ -18,11 +18,7 @@
 
 #include "core/execution.hpp"
 #include "net/broadcast.hpp"
-#include "obs/causal.hpp"
-#include "obs/epoch.hpp"
 #include "obs/flame.hpp"
-#include "obs/lifecycle.hpp"
-#include "obs/metric_names.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sharded_tracer.hpp"
 #include "obs/tracer.hpp"
@@ -61,10 +57,10 @@ struct ClusterConfig {
   sim::FaultPlan faults;
   /// Structured event tracing (obs/). Off by default: every component
   /// keeps a null tracer pointer and pays one branch per would-be event.
-  /// On: events flow into the tracer ring + sinks, and a LifecycleTracker
-  /// derives replication-latency/undo-churn/divergence metrics. Tracing
-  /// never perturbs the protocol (no RNG draws; the extra partition
-  /// open/heal marker events are scheduler no-ops).
+  /// On: events flow into the per-node tracer rings + sinks, and metrics()
+  /// derives the replication-latency/undo-churn/divergence families from
+  /// the retained ring. Tracing never perturbs the protocol (no RNG draws;
+  /// the extra partition open/heal marker events are scheduler no-ops).
   obs::TraceOptions trace;
   /// Per-epoch metrics time-series: snapshot the registry at every fault
   /// boundary (cut open/heal, crash/restart — exactly the control events
@@ -109,8 +105,6 @@ class Cluster {
       // One bounded ring per node plus a control shard, merged on demand.
       tracer_ = std::make_unique<obs::ShardedTracer>(
           config_.num_nodes, config_.trace.ring_capacity);
-      lifecycle_ = std::make_unique<obs::LifecycleTracker>(config_.num_nodes);
-      tracer_->add_sink(lifecycle_.get());
     }
     network_ = std::make_unique<sim::Network>(
         scheduler_, config_.network, master_rng_.fork_seed());
@@ -300,58 +294,21 @@ class Cluster {
   /// when tracing is off. Recording components hold their own shard.
   obs::ShardedTracer* tracer() { return tracer_.get(); }
   const obs::ShardedTracer* tracer() const { return tracer_.get(); }
-  /// Trace-derived per-update lifecycle metrics (nullptr when not tracing).
-  const obs::LifecycleTracker* lifecycle() const { return lifecycle_.get(); }
 
   /// One unified snapshot: engine + broadcast + network counters, cluster
   /// workload/availability numbers, and (when tracing) tracer totals and
-  /// the derived lifecycle histograms. Serializable via
-  /// MetricsRegistry::to_json and comparable across runs.
+  /// the replication metrics derived from the retained ring. Serializable
+  /// via MetricsRegistry::to_json and comparable across runs.
   obs::MetricsRegistry metrics() const {
     obs::MetricsRegistry reg = base_metrics();
     if (const obs::TraceSource* ts = tracer()) {
-      namespace mn = obs::metric_names;
-      // Epoch-aware latency attribution over the retained stream: segment
-      // by failure regime, fold every causal chain into stage timings.
-      // Derivation only — same inputs, same numbers. Deliberately not part
-      // of base_metrics(): the boundary snapshots of the metrics series
-      // would otherwise rebuild graph+flame mid-run at every fault event.
-      const std::vector<obs::Event> ring = ts->ring();
-      const obs::EpochIndex epochs = obs::EpochIndex::build(ring);
-      const obs::CausalGraph graph = obs::CausalGraph::build(ring);
-      const obs::FlameProfile flame =
-          obs::FlameProfile::build(ring, graph, epochs);
-      reg.add_counter(mn::kEpochCount, epochs.size());
-      reg.add_counter(mn::kEpochTransitions, epochs.transitions());
-      reg.add_counter(mn::kEpochCoalesced, epochs.coalesced());
-      std::uint64_t updates = 0, incomplete = 0;
-      std::int64_t crit_total = 0, crit_max = 0;
-      double quiet_s = 0.0, degraded_s = 0.0;
-      std::map<std::string, std::uint64_t> dominant;
-      for (const obs::EpochProfile& ep : flame.epochs()) {
-        updates += ep.updates;
-        incomplete += ep.incomplete;
-        crit_total += ep.critical_total_us;
-        crit_max = std::max(crit_max, ep.critical_max_us);
-        (epochs.epoch(ep.epoch).quiet() ? quiet_s : degraded_s) +=
-            ep.end - ep.start;
-        for (const auto& [stage, n] : ep.dominant_counts) dominant[stage] += n;
-      }
-      reg.add_counter(mn::kEpochUpdatesProfiled, updates);
-      reg.add_counter(mn::kEpochUpdatesIncomplete, incomplete);
-      reg.add_counter(mn::kEpochCriticalPathUsTotal,
-                      static_cast<std::uint64_t>(crit_total));
-      reg.add_counter(mn::kEpochCriticalPathUsMax,
-                      static_cast<std::uint64_t>(crit_max));
-      for (const auto& [stage, n] : dominant) {
-        reg.add_counter(mn::kEpochDominantPrefix + stage, n);
-      }
-      reg.set_gauge(mn::kEpochQuietSeconds, quiet_s);
-      reg.set_gauge(mn::kEpochDegradedSeconds, degraded_s);
-      obs::Histogram& crit = reg.histogram(mn::kEpochCriticalPathSeconds);
-      for (const obs::UpdateTiming& ut : flame.timings()) {
-        if (ut.complete) crit.add(static_cast<double>(ut.critical_us()) / 1e6);
-      }
+      // Segment the retained ring by failure regime, fold every causal
+      // chain into its timing row, and export epoch.*, lifecycle.* and
+      // causal.* from those rows. Derivation only — same inputs, same
+      // numbers. Deliberately not part of base_metrics(): the boundary
+      // snapshots of the metrics series would otherwise rebuild
+      // graph+flame mid-run at every fault event.
+      obs::export_replication_metrics(ts->ring(), nodes_.size(), reg);
     }
     return reg;
   }
@@ -361,8 +318,9 @@ class Cluster {
   /// registry DELTA accrued since the previous sample, plus a final sample
   /// at the current simulated time covering the tail. Gauges are
   /// point-in-time values, not deltas (MetricsRegistry::delta_from).
-  /// Samples cover base_metrics() — the epoch/flame derivation only makes
-  /// sense over the whole retained stream and stays in metrics().
+  /// Samples cover base_metrics() — the replication metrics (epoch.*,
+  /// lifecycle.*, causal.*) derive from the whole retained stream and stay
+  /// in metrics().
   std::vector<MetricsSample> metrics_series() const {
     std::vector<MetricsSample> out;
     const obs::MetricsRegistry* prev = nullptr;
@@ -386,7 +344,7 @@ class Cluster {
   }
 
  private:
-  /// Everything in metrics() except the epoch/flame derivation: cheap
+  /// Everything in metrics() except the replication metrics: cheap
   /// enough to snapshot at every fault boundary for the metrics series.
   obs::MetricsRegistry base_metrics() const {
     obs::MetricsRegistry reg;
@@ -422,7 +380,6 @@ class Cluster {
       reg.add_counter("trace.events_recorded", ts->recorded());
       reg.add_counter("trace.events_evicted", ts->evicted());
     }
-    if (lifecycle_) lifecycle_->export_to(reg);
     if (stream_obs_) stream_obs_->export_metrics(reg);
     return reg;
   }
@@ -546,7 +503,6 @@ class Cluster {
   // declared before them so it outlives their destructors. Set iff tracing
   // is enabled.
   std::unique_ptr<obs::ShardedTracer> tracer_;
-  std::unique_ptr<obs::LifecycleTracker> lifecycle_;
   std::unique_ptr<sim::Network> network_;
   std::unique_ptr<runtime::SimBackend> backend_;
   /// The one registration object for all observation (dispatch, message

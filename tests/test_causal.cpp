@@ -8,6 +8,10 @@
 // every replica.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cmath>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -15,7 +19,9 @@
 #include "harness/scenario.hpp"
 #include "harness/workload.hpp"
 #include "obs/causal.hpp"
-#include "obs/lifecycle.hpp"
+#include "obs/epoch.hpp"
+#include "obs/flame.hpp"
+#include "obs/metrics.hpp"
 #include "obs/tracer.hpp"
 #include "shard/cluster.hpp"
 #include "sim/fault_plan.hpp"
@@ -251,11 +257,181 @@ TEST(TraceSerialize, DeserializeRejectsMalformedLines) {
 
 // ------------------------------------------------ chaos property testing --
 
+bool replication_metric(const std::string& name) {
+  return name.rfind("lifecycle.", 0) == 0 || name.rfind("causal.", 0) == 0;
+}
+
+/// Canonical text of the lifecycle.* and causal.* entries of a registry:
+/// every counter and gauge, and each histogram's count, min, max and
+/// bucket counts. Histogram sums are left out; they are pinned apart.
+std::string replication_fingerprint(const obs::MetricsRegistry& reg) {
+  std::ostringstream os;
+  os.precision(17);
+  for (const auto& [name, v] : reg.counters()) {
+    if (replication_metric(name)) os << name << '=' << v << '\n';
+  }
+  for (const auto& [name, v] : reg.gauges()) {
+    if (replication_metric(name)) os << name << '=' << v << '\n';
+  }
+  for (const auto& [name, h] : reg.histograms()) {
+    if (!replication_metric(name)) continue;
+    os << name << " count=" << h.count() << " min=" << h.min()
+       << " max=" << h.max() << " buckets=";
+    for (const std::uint64_t c : h.bucket_counts()) os << c << ',';
+    os << '\n';
+  }
+  return os.str();
+}
+
+std::uint64_t fnv1a(const std::string& text) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const unsigned char c : text) {
+    h = (h ^ c) * 0x100000001b3ull;
+  }
+  return h;
+}
+
+/// One seed's replication metrics, recorded from the lifecycle tracker
+/// (a trace sink with its own join) before the flame timings became their
+/// only derivation. `sums` are the histogram sums in registry order:
+/// causal.{deliver, fanout_degree, first_deliver, last_deliver,
+/// mid_insert}, lifecycle.{replication_latency, undo_churn}.
+struct ReplicationPin {
+  std::uint64_t originated;
+  std::uint64_t fully_replicated;
+  std::uint64_t undo_churn_total;
+  std::uint64_t fingerprint;  ///< fnv1a(replication_fingerprint(...)).
+  std::array<double, 7> sums;
+};
+
+constexpr ReplicationPin kChaosPins[] = {
+    // 1000
+    {162, 162, 379, 0xb7913bf9f9c92102ull,
+     {219.8568972317949, 162, 219.8568972317949, 219.8568972317949,
+      183.87368790168935, 219.8568972317949, 379}},
+    // 1001
+    {96, 96, 394, 0xf157ce67040b5c93ull,
+     {205.6627725950604, 480, 11.872817572889916, 81.726602769254242,
+      124.70993225585386, 81.726602769254242, 394}},
+    // 1002
+    {223, 223, 2889, 0xb083437c4db4e741ull,
+     {991.78437996106777, 1115, 45.75032061848114, 370.17596798537443,
+      874.48053883472869, 370.17596798537443, 2889}},
+    // 1003
+    {195, 195, 2749, 0x969f8118f9a5b95cull,
+     {1044.2839725469803, 780, 69.660120886216305, 460.14432302953213,
+      930.90756326681469, 460.14432302953213, 2749}},
+    // 1004
+    {101, 101, 412, 0x4e440bedb5732bfdull,
+     {318.66306446891997, 404, 25.01886022145197, 156.10758737357261,
+      211.96150180923686, 156.10758737357261, 412}},
+    // 1005
+    {151, 151, 1676, 0xdf3292ca1fc25ebbull,
+     {813.66903948170193, 151, 813.66903948170193, 813.66903948170193,
+      722.13009871510167, 813.66903948170193, 1676}},
+    // 1006
+    {114, 114, 1381, 0x424020d1b139594cull,
+     {1134.024783700994, 570, 27.721080997382064, 397.52682904859523,
+      954.48931149828218, 397.52682904859523, 1381}},
+    // 1007
+    {276, 276, 6658, 0x253d027d75d87b0eull,
+     {1161.7143090622681, 552, 341.26315140826375, 820.45115765400328,
+      1121.1858427369973, 820.45115765400328, 6658}},
+    // 1008
+    {173, 173, 2048, 0x3f9e9ba0a615d473ull,
+     {921.94981787105439, 865, 34.976800880366241, 378.95491412836373,
+      806.30703815959203, 378.95491412836373, 2048}},
+    // 1009
+    {247, 247, 1558, 0xa916138783d09ba0ull,
+     {435.29516853782957, 741, 54.465438695121648, 254.66713929618055,
+      382.09074959035604, 254.66713929618055, 1558}},
+    // 1010
+    {129, 129, 268, 0xd96f91d8c374f19eull,
+     {121.66434218253652, 387, 10.248732064183253, 73.313947608199825,
+      80.883622110694091, 73.313947608199825, 268}},
+    // 1011
+    {216, 216, 899, 0xd4ffcc471ecbaf18ull,
+     {301.66797952220827, 648, 42.073270987093956, 166.92165672837808,
+      225.72958101007777, 166.92165672837808, 899}},
+};
+
+constexpr ReplicationPin kCrashChaosPins[] = {
+    // 3000
+    {189, 189, 5403, 0x43bf30ce1f210cb2ull,
+     {1921.1938120852199, 945, 103.53290185172543, 678.25399289067423,
+      1762.6206888338243, 678.25399289067423, 5403}},
+    // 3001
+    {104, 104, 785, 0x488bccb7d8500e2dull,
+     {418.67896949774661, 312, 64.549831088035262, 227.08490951849481,
+      324.28286411906089, 227.08490951849481, 785}},
+    // 3002
+    {105, 105, 226, 0x4c2455f77a3a4d6eull,
+     {148.71609579367646, 315, 14.07378144531237, 96.998076538634521,
+      95.452362179678758, 96.998076538634521, 226}},
+    // 3003
+    {111, 111, 154, 0xcdb3d50d071307a0ull,
+     {203.78473556644343, 111, 203.78473556644343, 203.78473556644343,
+      64.452424734469147, 203.78473556644343, 154}},
+    // 3004
+    {186, 186, 1790, 0xa8c4f77c46ecb877ull,
+     {792.17633561852756, 558, 91.376385394191487, 403.90311717908907,
+      638.48283259812217, 403.90311717908907, 1790}},
+    // 3005
+    {90, 90, 378, 0x814215c27e4a0a48ull,
+     {409.2847849343998, 270, 62.401826451669628, 212.68146057656719,
+      273.74366492493454, 212.68146057656719, 378}},
+    // 3006
+    {71, 71, 260, 0xb0e076ff3cbc6de2ull,
+     {267.29904013579767, 284, 16.536945753079973, 135.78494150594298,
+      169.77333283251278, 135.78494150594298, 260}},
+    // 3007
+    {98, 98, 436, 0x17a7dcac731f99a2ull,
+     {268.93522914474204, 294, 45.56966230696753, 145.34431708563318,
+      234.55875511949944, 145.34431708563318, 436}},
+    // 3008
+    {229, 229, 7791, 0xe90c5d8e81c95a99ull,
+     {1720.7409371538226, 916, 146.73665403184418, 814.18885232669754,
+      1481.7473038104824, 814.18885232669754, 7791}},
+    // 3009
+    {197, 197, 777, 0x794314658e7c5206ull,
+     {207.97887105451505, 591, 21.886003160380984, 122.63456271472316,
+      87.984185954894258, 122.63456271472316, 777}},
+    // 3010
+    {157, 157, 2263, 0xbf279cd5347fb852ull,
+     {656.70822789742226, 471, 121.90916088734589, 359.57403080786281,
+      593.33575632808754, 359.57403080786281, 2263}},
+    // 3011
+    {154, 154, 2185, 0x1d5dcd50216903d1ull,
+     {1001.6416761048446, 770, 48.431863646828944, 419.83760859388173,
+      763.2572543580909, 419.83760859388173, 2185}},
+};
+
+void expect_replication_pin(const obs::MetricsRegistry& reg,
+                            const ReplicationPin& pin) {
+  const auto& counters = reg.counters();
+  EXPECT_EQ(counters.at("lifecycle.updates_originated"), pin.originated);
+  EXPECT_EQ(counters.at("lifecycle.updates_fully_replicated"),
+            pin.fully_replicated);
+  EXPECT_EQ(counters.at("lifecycle.undo_churn_total"), pin.undo_churn_total);
+  const std::string text = replication_fingerprint(reg);
+  EXPECT_EQ(fnv1a(text), pin.fingerprint) << text;
+  std::size_t k = 0;
+  for (const auto& [name, h] : reg.histograms()) {
+    if (!replication_metric(name)) continue;
+    ASSERT_LT(k, pin.sums.size()) << name;
+    EXPECT_LE(std::abs(h.sum() - pin.sums[k]), 1e-12 * std::abs(pin.sums[k]))
+        << name << " sum " << h.sum() << " vs pinned " << pin.sums[k];
+    ++k;
+  }
+  EXPECT_EQ(k, pin.sums.size());
+}
+
 /// The causal invariants a COMPLETE stream from a converged run must
-/// satisfy, cross-checked against the execution and lifecycle state.
+/// satisfy, cross-checked against the execution and the replication
+/// metrics, which must equal the seed's pin.
 void expect_causal_invariants(shard::Cluster<Air>& cluster,
                               const std::vector<Event>& stream,
-                              std::size_t nodes) {
+                              std::size_t nodes, const ReplicationPin& pin) {
   ASSERT_TRUE(cluster.converged());
   const obs::CausalGraph g = obs::CausalGraph::build(stream);
   EXPECT_EQ(g.num_events(), stream.size());
@@ -282,36 +458,45 @@ void expect_causal_invariants(shard::Cluster<Air>& cluster,
     }
   }
 
-  // Lifecycle provenance agrees: every update delivered at and merged by
+  // Replication metrics agree: every update delivered at and merged by
   // every replica, with the causal.* histograms fully populated.
-  const obs::LifecycleTracker* lc = cluster.lifecycle();
-  ASSERT_NE(lc, nullptr);
-  EXPECT_EQ(lc->originated(), exec.size());
-  EXPECT_EQ(lc->fully_replicated(), lc->originated());
-  EXPECT_EQ(lc->deliver_latency().count(), nodes * lc->originated());
+  const obs::MetricsRegistry reg = cluster.metrics();
+  const auto& counters = reg.counters();
+  const auto& hist = reg.histograms();
+  const std::uint64_t originated =
+      counters.at("lifecycle.updates_originated");
+  EXPECT_EQ(originated, exec.size());
+  EXPECT_EQ(counters.at("lifecycle.updates_fully_replicated"), originated);
+  EXPECT_EQ(hist.at("causal.deliver_latency").count(), nodes * originated);
   if (nodes > 1) {
-    EXPECT_EQ(lc->first_deliver_latency().count(), lc->originated());
+    EXPECT_EQ(hist.at("causal.first_deliver_latency").count(), originated);
   }
-  EXPECT_EQ(lc->last_deliver_latency().count(), lc->originated());
+  EXPECT_EQ(hist.at("causal.last_deliver_latency").count(), originated);
+  EXPECT_TRUE(hist.count("causal.mid_insert_latency"));
+  EXPECT_TRUE(hist.count("causal.fanout_degree"));
+
+  // Per-update provenance: a timing row for every transaction, with one
+  // cell per replica, delivered no earlier than originated and merged no
+  // earlier than delivered.
+  const obs::FlameProfile flame =
+      obs::FlameProfile::build(stream, g, obs::EpochIndex::build(stream));
   for (std::size_t i = 0; i < exec.size(); ++i) {
     const core::Timestamp& ts = exec.tx(i).ts;
-    obs::ProvenanceTimeline tl;
-    ASSERT_TRUE(lc->timeline(ts.logical, ts.node, tl));
-    EXPECT_GE(tl.originate_at, 0.0);
-    ASSERT_EQ(tl.per_node.size(), nodes);
-    for (const obs::ProvenanceTimeline::Cell& c : tl.per_node) {
-      EXPECT_GE(c.deliver, tl.originate_at);
+    const auto it = std::find_if(
+        flame.timings().begin(), flame.timings().end(),
+        [&](const obs::UpdateTiming& ut) {
+          return ut.key == obs::CausalGraph::UpdateKey{ts.logical, ts.node};
+        });
+    ASSERT_NE(it, flame.timings().end()) << "tx " << i << " has no timing";
+    EXPECT_GE(it->originate, 0.0);
+    ASSERT_EQ(it->cells.size(), nodes);
+    for (const obs::ReplicaCell& c : it->cells) {
+      EXPECT_GE(c.deliver, it->originate);
       EXPECT_GE(c.merge, c.deliver);
     }
   }
 
-  // The metrics snapshot carries the causal histograms.
-  const obs::MetricsRegistry reg = cluster.metrics();
-  EXPECT_EQ(reg.histograms().at("causal.deliver_latency").count(),
-            nodes * lc->originated());
-  EXPECT_TRUE(reg.histograms().count("causal.last_deliver_latency"));
-  EXPECT_TRUE(reg.histograms().count("causal.mid_insert_latency"));
-  EXPECT_TRUE(reg.histograms().count("causal.fanout_degree"));
+  expect_replication_pin(reg, pin);
 }
 
 class CausalChaos : public ::testing::TestWithParam<std::uint64_t> {};
@@ -347,7 +532,8 @@ TEST_P(CausalChaos, InvariantsHoldUnderRandomFailures) {
 
   cluster.run_until(horizon);
   cluster.settle();
-  expect_causal_invariants(cluster, capture.events(), nodes);
+  expect_causal_invariants(cluster, capture.events(), nodes,
+                           kChaosPins[GetParam() - 1000]);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CausalChaos,
@@ -390,7 +576,8 @@ TEST_P(CausalCrashChaos, InvariantsHoldUnderCrashesAndPartitions) {
 
   cluster.run_until(horizon);
   cluster.settle();
-  expect_causal_invariants(cluster, capture.events(), nodes);
+  expect_causal_invariants(cluster, capture.events(), nodes,
+                           kCrashChaosPins[GetParam() - 3000]);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CausalCrashChaos,

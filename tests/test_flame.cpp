@@ -3,8 +3,9 @@
 // Three layers under test. EpochIndex: boundary detection from cut/crash
 // control events, same-instant coalescing (rack power loss, back-to-back
 // rolling-restart seams), and the absence of zero-length interior epochs.
-// FlameProfile: exact stage weights on a hand-built chain, plus structural
-// invariants and byte-determinism of the exporters under chaos.
+// FlameProfile: exact stage weights on a hand-built chain, the replica
+// cells and metrics export on a stream with an out-of-cluster node id, plus
+// structural invariants and byte-determinism of the exporters under chaos.
 // ShardedTracer: every chaos and crash-chaos seed reproduces its golden
 // stream (event count and obs::digest), and the k-way (time, seq) ring
 // merge must reconstruct the capture exactly.
@@ -20,6 +21,7 @@
 #include "obs/causal.hpp"
 #include "obs/epoch.hpp"
 #include "obs/flame.hpp"
+#include "obs/metrics.hpp"
 #include "obs/sharded_tracer.hpp"
 #include "obs/tracer.hpp"
 #include "shard/cluster.hpp"
@@ -254,6 +256,55 @@ TEST(FlameProfile, ExportersAreByteDeterministic) {
   EXPECT_EQ(a.folded(), b.folded());
   EXPECT_EQ(a.to_json(), b.to_json());
   EXPECT_EQ(a.perfetto_json(), b.perfetto_json());
+}
+
+TEST(FlameProfile, OutOfClusterNodeIdIsKeptAndSkippedByTheMetrics) {
+  // A trace file may carry any 32-bit node id; read one back through the
+  // parser, as flame_report does, with the deliver and merge at node 4e9.
+  constexpr sim::NodeId kFar = 4000000000u;
+  const std::vector<obs::Event> written = {
+      ev(EventType::kBroadcastOriginate, 1.0, 0, /*a=*/1, 0, /*ts=*/1, 0),
+      ev(EventType::kBroadcastDeliver, 1.5, kFar, /*a=*/0, /*b=*/1),
+      ev(EventType::kMergeTailAppend, 1.7, kFar, 0, 0, /*ts=*/1, 0),
+  };
+  std::vector<obs::Event> events;
+  ASSERT_TRUE(obs::deserialize(obs::serialize(written), events));
+  ASSERT_EQ(events, written);
+
+  const obs::EpochIndex epochs = obs::EpochIndex::build(events);
+  const obs::FlameProfile flame =
+      obs::FlameProfile::build(events, obs::CausalGraph::build(events), epochs);
+  ASSERT_EQ(flame.timings().size(), 1u);
+  const obs::UpdateTiming& ut = flame.timings()[0];
+  ASSERT_EQ(ut.cells.size(), 1u);  // the cell is kept, keyed by its id
+  EXPECT_EQ(ut.cells[0].node, kFar);
+  EXPECT_DOUBLE_EQ(ut.cells[0].deliver, 1.5);
+  EXPECT_DOUBLE_EQ(ut.cells[0].merge, 1.7);
+  EXPECT_FALSE(ut.flooded);
+  EXPECT_TRUE(ut.complete);
+
+  // The metrics of a 3-node cluster skip it: nothing was delivered or
+  // merged inside the cluster, so no latency sample exists.
+  obs::MetricsRegistry reg;
+  obs::export_replication_metrics(events, 3, reg);
+  EXPECT_EQ(reg.counters().at("lifecycle.updates_originated"), 1u);
+  EXPECT_EQ(reg.counters().at("lifecycle.updates_fully_replicated"), 0u);
+  EXPECT_EQ(reg.counters().at("lifecycle.undo_churn_total"), 0u);
+  EXPECT_EQ(reg.gauges().at("lifecycle.divergence_max_missing"), 0.0);
+  for (const char* name :
+       {"lifecycle.replication_latency", "lifecycle.undo_churn",
+        "causal.deliver_latency", "causal.first_deliver_latency",
+        "causal.last_deliver_latency", "causal.mid_insert_latency",
+        "causal.fanout_degree"}) {
+    EXPECT_EQ(reg.histograms().at(name).count(), 0u) << name;
+  }
+  EXPECT_EQ(reg.counters().at("epoch.updates_profiled"), 1u);
+
+  const std::string provenance = ut.render_provenance(3);
+  EXPECT_EQ(provenance.rfind("update 1:0 originated at t=1 on node 0", 0),
+            0u);
+  EXPECT_NE(provenance.find("  node 2: never delivered\n"),
+            std::string::npos);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 // Observability subsystem (src/obs/): tracer ring + sinks, stats summaries,
-// metrics registry JSON round-trip, Perfetto export, lifecycle metrics, and
-// the checker's trace-dump diagnostics — exercised both standalone and
+// metrics registry JSON round-trip, Perfetto export, replication metrics,
+// and the checker's trace-dump diagnostics — exercised both standalone and
 // end-to-end through a crash-chaos cluster run.
 #include <gtest/gtest.h>
 
@@ -18,7 +18,6 @@
 #include "harness/scenario.hpp"
 #include "harness/workload.hpp"
 #include "net/broadcast_stats.hpp"
-#include "obs/lifecycle.hpp"
 #include "obs/metrics.hpp"
 #include "obs/perfetto.hpp"
 #include "obs/tracer.hpp"
@@ -274,16 +273,20 @@ TEST(ObsEndToEnd, ChaosRunRecordsWholeLifecycle) {
 
 TEST(ObsEndToEnd, LifecycleMetricsConvergeWithCluster) {
   const auto cluster = make_traced_chaos_cluster();
-  const obs::LifecycleTracker* lc = cluster->lifecycle();
-  ASSERT_NE(lc, nullptr);
-  EXPECT_EQ(lc->originated(), cluster->total_originated());
+  const obs::MetricsRegistry reg = cluster->metrics();
+  const std::uint64_t originated =
+      reg.counters().at("lifecycle.updates_originated");
+  EXPECT_EQ(originated, cluster->total_originated());
   // Settled cluster: every update reached every replica, divergence is 0.
-  EXPECT_EQ(lc->fully_replicated(), lc->originated());
-  EXPECT_EQ(lc->divergence(), 0u);
-  EXPECT_EQ(lc->replication_latency().count(), lc->originated());
-  EXPECT_GT(lc->replication_latency().max(), 0.0);
+  EXPECT_EQ(reg.counters().at("lifecycle.updates_fully_replicated"),
+            originated);
+  EXPECT_EQ(reg.gauges().at("lifecycle.divergence_max_missing"), 0.0);
+  const obs::Histogram& latency =
+      reg.histograms().at("lifecycle.replication_latency");
+  EXPECT_EQ(latency.count(), originated);
+  EXPECT_GT(latency.max(), 0.0);
   // Mid-inserts happened, so some update displaced others.
-  EXPECT_GT(lc->total_undo_churn(), 0u);
+  EXPECT_GT(reg.counters().at("lifecycle.undo_churn_total"), 0u);
 }
 
 TEST(ObsEndToEnd, MetricsSnapshotFoldsAllLayersAndRoundTrips) {
@@ -412,13 +415,13 @@ TEST(TraceDump, ViolationPrintsCausalChainAndProvenance) {
   ASSERT_GT(exec.size(), 0u);
   analysis::CheckReport report("synthetic");
   report.add_violation("tx 0: synthetic violation", 0);
-  const std::string dump = analysis::trace_dump(
-      report, exec, *cluster->tracer(), 6, cluster->lifecycle());
+  const std::string dump =
+      analysis::trace_dump(report, exec, *cluster->tracer());
   // The offending update's replication path, not just a ring window.
   EXPECT_NE(dump.find("causal chain"), std::string::npos);
   EXPECT_NE(dump.find("broadcast.originate"), std::string::npos);
   EXPECT_NE(dump.find("ring window:"), std::string::npos);
-  // And the per-replica provenance timeline from the lifecycle tracker.
+  // And the per-replica provenance from the update's flame timing row.
   const core::Timestamp& ts = exec.tx(0).ts;
   std::ostringstream want;
   want << "provenance:\nupdate " << ts.logical << ':' << ts.node
