@@ -39,7 +39,7 @@
 #include "obs/tracer.hpp"
 #include "runtime/api.hpp"
 #include "sim/fault_plan.hpp"
-#include "sim/network.hpp"
+#include "sim/rng.hpp"
 
 namespace net {
 
@@ -149,7 +149,7 @@ class ReliableBroadcast {
         store_(cluster_size),
         seen_extra_(cluster_size) {
     net_->register_node(self_,
-                        [this](const sim::Message& m) { on_message(m); });
+                        [this](const runtime::Message& m) { on_message(m); });
   }
 
   ReliableBroadcast(const ReliableBroadcast&) = delete;
@@ -463,7 +463,7 @@ class ReliableBroadcast {
     }
   }
 
-  void on_message(const sim::Message& m) {
+  void on_message(const runtime::Message& m) {
     if (down_) return;  // defensive: the network drops these before us
     // A wire the adversary held back is released after the NEXT packet is
     // processed — note the hold now so a hold created below isn't flushed

@@ -26,7 +26,7 @@ inline constexpr sim::NodeId kControlNode = 0xffffffffu;
 /// Everything the substrate can report. Names group by subsystem; the
 /// exporters render them as "<group>.<what>" (see event_type_name).
 enum class EventType : std::uint8_t {
-  // sim/scheduler — one per dispatched event (a = scheduler EventId).
+  // sim/scheduler — one per dispatched event (a = its timer id).
   kSchedulerDispatch,
   // sim/network — message fates. Send-side events (send and send-time
   // drops) are recorded at the source: node = src, a = dst. Delivery-side

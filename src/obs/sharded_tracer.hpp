@@ -56,8 +56,6 @@ class ShardedTracer : public TraceSource {
   }
   Tracer& control_shard() { return *shards_.back(); }
 
-  /// num_nodes + 1 (the control shard).
-  std::size_t num_shards() const { return shards_.size(); }
   /// The next global sequence stamp (== events recorded so far).
   std::uint64_t next_seq() const {
     return seq_.load(std::memory_order_relaxed);

@@ -10,16 +10,16 @@
 //     send to one peer or all, and the crash-fault hooks (set_node_down /
 //     node_down) the network consults before delivering.
 //
-// Two backends implement them (see sim_backend.hpp / threaded_backend.hpp):
-// the deterministic discrete-event simulator — still the test mode, with
-// byte-identical traces to the pre-runtime code — and a threaded runtime
+// Two worlds implement them directly: the deterministic discrete-event
+// simulator, where sim::Scheduler is the Executor and sim::Network the
+// Transport (the test mode, see sim_backend.hpp), and a threaded runtime
 // with one worker per node, real monotonic clocks, and an in-process
-// message bus. The same protocol code runs on both; only the driver
-// differs (shard::Cluster vs runtime::RealtimeCluster).
+// message bus (threaded_backend.hpp). The same protocol code runs on both;
+// only the driver differs (shard::Cluster vs runtime::RealtimeCluster).
 //
-// Layering: runtime reuses the simulator's value types (Time, NodeId,
-// Message) rather than duplicating them — they are dependency-light PODs,
-// and sharing them keeps the sim backend a zero-translation pass-through.
+// Layering: runtime reuses the simulator's scalar types (Time, NodeId) and
+// owns the message types both worlds carry, so the simulator implements
+// this API with no translation layer in between.
 #pragma once
 
 #include <any>
@@ -27,16 +27,30 @@
 #include <functional>
 
 #include "sim/delay.hpp"
-#include "sim/network.hpp"
+#include "sim/partition.hpp"
 
 namespace runtime {
 
 using Time = sim::Time;
 using NodeId = sim::NodeId;
-using Message = sim::Message;
-/// What became of one send attempt. Shared with the simulator's network —
-/// both backends report the same taxonomy through the same hook.
-using MessageFate = sim::Network::MessageFate;
+
+/// A delivered datagram.
+struct Message {
+  NodeId src = 0;
+  NodeId dst = 0;
+  std::uint64_t id = 0;  // unique per send, for tracing
+  std::any payload;
+};
+
+/// What became of one send attempt. Both backends report the same
+/// taxonomy through the fate hook (Hooks::on_message_fate).
+enum class MessageFate {
+  kSent,             ///< Accepted; delivery scheduled after sampled delay.
+  kDelivered,        ///< Handed to the destination's handler.
+  kDroppedPartition, ///< Lost to an active cut at send time.
+  kDroppedRandom,    ///< Lost to the random-drop coin.
+  kDroppedCrashed,   ///< An endpoint was down at send or delivery time.
+};
 
 /// Worker id reported by dispatch hooks when the backend has no per-node
 /// workers (the single-threaded simulator dispatches everything on one

@@ -1,25 +1,21 @@
-// Unified observation hooks for an execution backend.
+// Observation hooks for an execution backend.
 //
-// Before the runtime API, three ad-hoc observer surfaces grew side by side:
-// the scheduler's dispatch observer, the network's message-fate observer,
-// and the node-level shard::StreamObserver. Each had its own registration
-// call and its own lifetime rules, and a driver wiring tracing had to know
-// all three. runtime::Hooks folds them into one registration object handed
-// to Backend::set_hooks() (and, for the typed stream observer, consumed by
-// the cluster driver): both backends emit the same hook sequence for the
-// same logical events, so a consumer written against Hooks works unchanged
-// on the simulator and on the threaded runtime.
+// One registration object, handed to Backend::set_hooks(), carries both
+// backend-level observers: the dispatch hook and the message-fate hook.
+// The simulator's scheduler and network fire these callback types
+// themselves and the threaded backend fires them from its workers, so a
+// consumer written against Hooks works unchanged on either backend. (The
+// node-level shard::StreamObserver observes the protocol, not the backend;
+// the cluster driver attaches it to each node.)
 //
 // Threading contract (threaded backend): on_dispatch fires on the worker
 // that executed the task, on_message_fate fires on the worker that owns the
 // event's program-order side (send-side fates on the source's worker,
 // delivery-side fates on the destination's) — so a consumer that routes by
 // node id into per-node shards has exactly one writer per shard. On the
-// simulator everything fires on the driving thread, in the exact order the
-// legacy observers fired.
+// simulator everything fires on the driving thread, in (time, seq) order.
 #pragma once
 
-#include <any>
 #include <cstdint>
 #include <functional>
 
@@ -27,6 +23,9 @@
 
 namespace runtime {
 
+/// Both hooks are purely observational: they must not schedule, cancel or
+/// send, so installing them never changes what runs or in which order.
+/// Each costs one branch per event when unset.
 struct Hooks {
   /// One call per executed dispatch (scheduler event / worker task), after
   /// the clock advanced to its time, before its action runs. `worker` is
@@ -41,11 +40,6 @@ struct Hooks {
 
   DispatchFn on_dispatch;
   MessageFateFn on_message_fate;
-  /// The node-level stream observer (a shard::StreamObserver<App>*), type-
-  /// erased because App is the driver's business: backends ignore it; the
-  /// cluster driver casts it back and attaches it to every node. Empty =
-  /// none.
-  std::any stream_observer;
 };
 
 }  // namespace runtime

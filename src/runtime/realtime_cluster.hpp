@@ -77,10 +77,8 @@ class RealtimeCluster {
         tracer_(config_.num_nodes, config_.ring_capacity) {
     // One writer per shard: dispatch fires on the executing worker, fates
     // on the event's program-order side (the Hooks threading contract).
-    Hooks hooks;
-    shard::trace_hooks(hooks, tracer_, [this] { return backend_.now(); },
-                       config_.trace_dispatch);
-    backend_.set_hooks(std::move(hooks));
+    backend_.set_hooks(shard::trace_hooks(
+        tracer_, [this] { return backend_.now(); }, config_.trace_dispatch));
     sim::Rng master(config_.seed);
     master.fork_seed();  // parity with Cluster: first fork is the network's
     for (std::size_t i = 0; i < config_.num_nodes; ++i) {

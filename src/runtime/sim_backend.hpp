@@ -1,108 +1,45 @@
-// The deterministic backend: runtime::Executor / runtime::Transport over
-// the existing discrete-event simulator.
+// The deterministic backend: the simulated world a cluster runs in.
 //
-// Every call forwards 1:1 to sim::Scheduler / sim::Network — same RNG draw
-// order, same (time, seq) event order, same message ids — so a protocol
-// ported onto the runtime interfaces produces byte-identical traces to the
-// pre-runtime code for the same (seed, configuration). The only cost is a
-// virtual dispatch per call; the differential tier in test_runtime pins the
-// byte identity across the chaos and crash-chaos seeds.
+// sim::Scheduler is the simulator's runtime::Executor and sim::Network its
+// runtime::Transport, so protocol code runs on them directly — same RNG
+// draw order, same (time, seq) event order, same message ids as code
+// written against the simulator itself. SimBackend owns the two and
+// installs the observation hooks on them; the simulator dispatches every
+// node on one logical worker, so one scheduler serves all nodes.
 #pragma once
 
-#include "runtime/api.hpp"
+#include <cstdint>
+#include <utility>
+
 #include "runtime/hooks.hpp"
 #include "sim/network.hpp"
 #include "sim/scheduler.hpp"
 
 namespace runtime {
 
-class SimExecutor final : public Executor {
- public:
-  explicit SimExecutor(sim::Scheduler& sched) : sched_(sched) {}
-
-  Time now() const override { return sched_.now(); }
-  TimerId schedule_at(Time t, Action action) override {
-    return sched_.schedule_at(t, std::move(action));
-  }
-  TimerId schedule_after(Time dt, Action action) override {
-    return sched_.schedule_after(dt, std::move(action));
-  }
-  bool cancel(TimerId id) override { return sched_.cancel(id); }
-  void defer(Action action) override { sched_.defer(std::move(action)); }
-
-  sim::Scheduler& scheduler() { return sched_; }
-
- private:
-  sim::Scheduler& sched_;
-};
-
-class SimTransport final : public Transport {
- public:
-  explicit SimTransport(sim::Network& net) : net_(net) {}
-
-  void register_node(NodeId node, Handler handler) override {
-    net_.register_node(node, std::move(handler));
-  }
-  std::size_t node_count() const override { return net_.node_count(); }
-  std::uint64_t send(NodeId src, NodeId dst, std::any payload) override {
-    return net_.send(src, dst, std::move(payload));
-  }
-  std::size_t send_to_all(NodeId src, const std::any& payload) override {
-    return net_.send_to_all(src, payload);
-  }
-  void set_node_down(NodeId node, bool down) override {
-    net_.set_node_down(node, down);
-  }
-  bool node_down(NodeId node) const override { return net_.node_down(node); }
-
-  sim::Network& network() { return net_; }
-
- private:
-  sim::Network& net_;
-};
-
-/// The pair, plus the unified hook registration: set_hooks installs the
-/// dispatch hook as the scheduler's observer and the fate hook as the
-/// network's observer (the two legacy surfaces), reporting kNoWorker as
-/// the dispatching worker — the simulator has no per-node workers.
 class SimBackend {
  public:
-  SimBackend(sim::Scheduler& sched, sim::Network& net)
-      : exec_(sched), trans_(net) {}
+  SimBackend(sim::Network::Config network, std::uint64_t seed)
+      : network_(scheduler_, std::move(network), seed) {}
 
   SimBackend(const SimBackend&) = delete;
   SimBackend& operator=(const SimBackend&) = delete;
 
-  /// The simulator dispatches every node on one logical worker, so the
-  /// same executor serves all nodes (the argument exists for signature
-  /// parity with the threaded backend).
-  Executor& executor(NodeId = 0) { return exec_; }
-  Transport& transport() { return trans_; }
+  sim::Scheduler& scheduler() { return scheduler_; }
+  const sim::Scheduler& scheduler() const { return scheduler_; }
+  sim::Network& network() { return network_; }
+  const sim::Network& network() const { return network_; }
 
+  /// Install (or, with empty members, clear) both hooks. The scheduler
+  /// reports kNoWorker as the dispatching worker.
   void set_hooks(Hooks hooks) {
-    hooks_ = std::move(hooks);
-    if (hooks_.on_dispatch) {
-      exec_.scheduler().set_observer([this](Time t, std::uint64_t id) {
-        hooks_.on_dispatch(kNoWorker, t, id);
-      });
-    } else {
-      exec_.scheduler().set_observer(nullptr);
-    }
-    if (hooks_.on_message_fate) {
-      trans_.network().set_observer(
-          [this](NodeId src, NodeId dst, std::uint64_t id, MessageFate fate) {
-            hooks_.on_message_fate(src, dst, id, fate);
-          });
-    } else {
-      trans_.network().set_observer(nullptr);
-    }
+    scheduler_.set_dispatch_hook(std::move(hooks.on_dispatch));
+    network_.set_fate_hook(std::move(hooks.on_message_fate));
   }
-  const Hooks& hooks() const { return hooks_; }
 
  private:
-  SimExecutor exec_;
-  SimTransport trans_;
-  Hooks hooks_;
+  sim::Scheduler scheduler_;
+  sim::Network network_;
 };
 
 }  // namespace runtime

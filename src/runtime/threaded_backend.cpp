@@ -27,49 +27,10 @@ void WorkerExecutor::defer(Action action) {
   backend_.defer_on(worker_, std::move(action));
 }
 
-// --- ThreadedTransport -----------------------------------------------------
-
-void ThreadedTransport::register_node(NodeId node, Handler handler) {
-  if (backend_.started_) {
-    throw std::logic_error("register_node after start()");
-  }
-  const std::size_t i = static_cast<std::size_t>(node);
-  if (i >= backend_.handlers_.size()) {
-    throw std::out_of_range("register_node: no worker for node");
-  }
-  backend_.handlers_[i] = std::move(handler);
-}
-
-std::size_t ThreadedTransport::node_count() const {
-  return backend_.handlers_.size();
-}
-
-std::uint64_t ThreadedTransport::send(NodeId src, NodeId dst,
-                                      std::any payload) {
-  return backend_.send(src, dst, std::move(payload));
-}
-
-std::size_t ThreadedTransport::send_to_all(NodeId src,
-                                           const std::any& payload) {
-  return backend_.send_to_all(src, payload);
-}
-
-void ThreadedTransport::set_node_down(NodeId node, bool down) {
-  backend_.down_.at(static_cast<std::size_t>(node))
-      ->store(down, std::memory_order_release);
-}
-
-bool ThreadedTransport::node_down(NodeId node) const {
-  return backend_.down_.at(static_cast<std::size_t>(node))
-      ->load(std::memory_order_acquire);
-}
-
 // --- ThreadedBackend -------------------------------------------------------
 
 ThreadedBackend::ThreadedBackend(ThreadedConfig config)
-    : config_(config),
-      transport_(*this),
-      epoch_(std::chrono::steady_clock::now()) {
+    : config_(config), epoch_(std::chrono::steady_clock::now()) {
   if (config_.num_nodes == 0) throw std::invalid_argument("no nodes");
   if (config_.max_delay < config_.min_delay) {
     throw std::invalid_argument("max_delay < min_delay");
@@ -93,6 +54,25 @@ Executor& ThreadedBackend::executor(NodeId node) {
 void ThreadedBackend::set_hooks(Hooks hooks) {
   if (started_) throw std::logic_error("set_hooks after start()");
   hooks_ = std::move(hooks);
+}
+
+void ThreadedBackend::register_node(NodeId node, Handler handler) {
+  if (started_) throw std::logic_error("register_node after start()");
+  const std::size_t i = static_cast<std::size_t>(node);
+  if (i >= handlers_.size()) {
+    throw std::out_of_range("register_node: no worker for node");
+  }
+  handlers_[i] = std::move(handler);
+}
+
+void ThreadedBackend::set_node_down(NodeId node, bool down) {
+  down_.at(static_cast<std::size_t>(node))
+      ->store(down, std::memory_order_release);
+}
+
+bool ThreadedBackend::node_down(NodeId node) const {
+  return down_.at(static_cast<std::size_t>(node))
+      ->load(std::memory_order_acquire);
 }
 
 void ThreadedBackend::start() {

@@ -78,40 +78,34 @@ class WorkerExecutor final : public Executor {
   std::size_t worker_;
 };
 
-/// Transport view of the bus. send() must be called from the source's
-/// worker thread (protocol code always does — sends happen inside tasks)
-/// or from the main thread before start().
-class ThreadedTransport final : public Transport {
- public:
-  explicit ThreadedTransport(ThreadedBackend& backend) : backend_(backend) {}
-
-  void register_node(NodeId node, Handler handler) override;
-  std::size_t node_count() const override;
-  std::uint64_t send(NodeId src, NodeId dst, std::any payload) override;
-  std::size_t send_to_all(NodeId src, const std::any& payload) override;
-  void set_node_down(NodeId node, bool down) override;
-  bool node_down(NodeId node) const override;
-
- private:
-  ThreadedBackend& backend_;
-};
-
-class ThreadedBackend {
+/// The workers plus the bus, which is the backend's Transport. send() must
+/// be called from the source's worker thread (protocol code always does —
+/// sends happen inside tasks) or from the main thread before start().
+class ThreadedBackend final : public Transport {
  public:
   explicit ThreadedBackend(ThreadedConfig config);
-  ~ThreadedBackend();
+  ~ThreadedBackend() override;
 
   ThreadedBackend(const ThreadedBackend&) = delete;
   ThreadedBackend& operator=(const ThreadedBackend&) = delete;
 
   /// The executor whose timers/deferred actions run on `node`'s worker.
   Executor& executor(NodeId node);
-  Transport& transport() { return transport_; }
+  Transport& transport() { return *this; }
 
-  /// Install the unified observation hooks. Must precede start():
-  /// workers read the hook set without synchronization afterwards.
+  /// Install the observation hooks. Must precede start(): workers read
+  /// the hook set without synchronization afterwards.
   void set_hooks(Hooks hooks);
-  const Hooks& hooks() const { return hooks_; }
+
+  /// Transport. A call naming a node without a worker throws
+  /// std::out_of_range; register_node after start() throws
+  /// std::logic_error.
+  void register_node(NodeId node, Handler handler) override;
+  std::size_t node_count() const override { return handlers_.size(); }
+  std::uint64_t send(NodeId src, NodeId dst, std::any payload) override;
+  std::size_t send_to_all(NodeId src, const std::any& payload) override;
+  void set_node_down(NodeId node, bool down) override;
+  bool node_down(NodeId node) const override;
 
   /// Launch the worker threads. Tasks posted before start() (node start
   /// calls, pre-seeded timers) run once the workers come up.
@@ -135,11 +129,9 @@ class ThreadedBackend {
   void drain_and_stop();
 
   bool stopped() const { return stopped_; }
-  std::size_t num_workers() const { return workers_.size(); }
 
  private:
   friend class WorkerExecutor;
-  friend class ThreadedTransport;
 
   struct Task {
     Time due = 0.0;
@@ -175,19 +167,16 @@ class ThreadedBackend {
                           std::function<void()> fn);
   bool cancel_timer(std::size_t w, std::uint64_t id);
   void defer_on(std::size_t w, Executor::Action action);
-  std::uint64_t send(NodeId src, NodeId dst, std::any payload);
-  std::size_t send_to_all(NodeId src, const std::any& payload);
   void emit_fate(NodeId src, NodeId dst, std::uint64_t id, MessageFate fate);
 
   ThreadedConfig config_;
-  ThreadedTransport transport_;
   Hooks hooks_;
   std::chrono::steady_clock::time_point epoch_;
   std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<std::unique_ptr<WorkerExecutor>> executors_;
   /// Receive handlers + down flags, indexed by node. Registration is
   /// main-thread-only before start(); read without locks afterwards.
-  std::vector<Transport::Handler> handlers_;
+  std::vector<Handler> handlers_;
   std::vector<std::unique_ptr<std::atomic<bool>>> down_;
   /// Per-source RNG streams (delay + drop draws); each is touched only by
   /// its source's worker.

@@ -22,7 +22,6 @@
 #include "obs/metrics.hpp"
 #include "obs/sharded_tracer.hpp"
 #include "obs/tracer.hpp"
-#include "runtime/hooks.hpp"
 #include "runtime/sim_backend.hpp"
 #include "shard/cluster_common.hpp"
 #include "shard/node.hpp"
@@ -87,70 +86,55 @@ class Cluster {
   using Config = ClusterConfig;
 
   explicit Cluster(Config config)
-      : config_(std::move(config)), master_rng_(config_.seed) {
-    // Fold the fault plan's partition cuts into the network's schedule: the
-    // plan is the single user-facing fault surface; the network keeps
-    // consulting its own config at send time.
-    for (const sim::PartitionEvent& ev :
-         config_.faults.partitions().events()) {
-      config_.network.partitions.add(ev);
-    }
-    // Same single-surface rule for the Byzantine payload adversary: armed
-    // on the plan, executed by each node's broadcast receive path.
-    if (config_.faults.byzantine().enabled) {
-      config_.broadcast.byzantine = config_.faults.byzantine();
-    }
+      : config_(fold_faults(std::move(config))),
+        master_rng_(config_.seed),
+        // One bounded ring per node plus a control shard, merged on demand.
+        tracer_(config_.trace.enabled
+                    ? std::make_unique<obs::ShardedTracer>(
+                          config_.num_nodes, config_.trace.ring_capacity)
+                    : nullptr),
+        // The network's seed is the master's first fork; each node's
+        // follows, in node order.
+        backend_(config_.network, master_rng_.fork_seed()) {
     validate_faults();
-    if (config_.trace.enabled) {
-      // One bounded ring per node plus a control shard, merged on demand.
-      tracer_ = std::make_unique<obs::ShardedTracer>(
-          config_.num_nodes, config_.trace.ring_capacity);
-    }
-    network_ = std::make_unique<sim::Network>(
-        scheduler_, config_.network, master_rng_.fork_seed());
-    backend_ =
-        std::make_unique<runtime::SimBackend>(scheduler_, *network_);
-    // All observation flows through the unified runtime::Hooks surface —
-    // the backend fans the one registration out to the legacy scheduler
-    // and network observers.
-    install_hooks();
-    if (config_.trace.enabled) {
+    if (tracer_) {
+      // Dispatches and message fates go to the trace shards.
+      backend_.set_hooks(
+          trace_hooks(*tracer_, [this] { return scheduler().now(); }));
       // Partition lifecycle markers: cuts are config, not messages, so no
       // component sees them open/heal — mark the boundaries explicitly.
       const auto& cuts = config_.network.partitions.events();
       for (std::size_t k = 0; k < cuts.size(); ++k) {
-        scheduler_.schedule_at(cuts[k].start, [this, k] {
+        scheduler().schedule_at(cuts[k].start, [this, k] {
           tracer_->control_shard().record(obs::EventType::kPartitionOpen,
-                                          scheduler_.now(), obs::kControlNode,
+                                          scheduler().now(), obs::kControlNode,
                                           0, 0, k);
         });
-        scheduler_.schedule_at(cuts[k].end, [this, k] {
+        scheduler().schedule_at(cuts[k].end, [this, k] {
           tracer_->control_shard().record(obs::EventType::kPartitionHeal,
-                                          scheduler_.now(), obs::kControlNode,
+                                          scheduler().now(), obs::kControlNode,
                                           0, 0, k);
         });
       }
     }
     for (std::size_t i = 0; i < config_.num_nodes; ++i) {
       nodes_.push_back(std::make_unique<NodeT>(
-          static_cast<core::NodeId>(i),
-          backend_->executor(static_cast<runtime::NodeId>(i)),
-          backend_->transport(), config_.num_nodes, config_.broadcast,
-          config_.checkpoint_interval, master_rng_.fork_seed(),
-          config_.compaction,
+          static_cast<core::NodeId>(i), scheduler(), network(),
+          config_.num_nodes, config_.broadcast, config_.checkpoint_interval,
+          master_rng_.fork_seed(), config_.compaction,
           tracer_ ? &tracer_->shard(static_cast<sim::NodeId>(i)) : nullptr,
           config_.max_checkpoints));
     }
     for (auto& n : nodes_) n->start();
     for (const sim::CrashEvent& ev : config_.faults.crashes().events()) {
       if (ev.node >= nodes_.size()) throw std::out_of_range("crash: no such node");
-      scheduler_.schedule_at(ev.start, [this, node = ev.node] {
-        nodes_[node]->crash(scheduler_.now());
+      scheduler().schedule_at(ev.start, [this, node = ev.node] {
+        nodes_[node]->crash(scheduler().now());
       });
       // The catch-up target (how much the node must re-merge to count as
       // recovered) is read at restart time, not schedule-construction time.
-      scheduler_.schedule_at(ev.end, [this, ev] {
-        nodes_[ev.node]->restart(ev.mode, scheduler_.now(), total_originated(),
+      scheduler().schedule_at(ev.end, [this, ev] {
+        nodes_[ev.node]->restart(ev.mode, scheduler().now(), total_originated(),
                                  ev.keep_fraction);
       });
     }
@@ -171,15 +155,15 @@ class Cluster {
   void submit_at(sim::Time t, core::NodeId node, Request request) {
     if (node >= nodes_.size()) throw std::out_of_range("no such node");
     ++scheduled_submissions_;
-    scheduler_.schedule_at(t, [this, node, request = std::move(request)] {
-      nodes_[node]->try_submit(request, scheduler_.now());
+    scheduler().schedule_at(t, [this, node, request = std::move(request)] {
+      nodes_[node]->try_submit(request, scheduler().now());
     });
   }
 
   /// Submit immediately (at current simulated time) — for step-by-step
   /// scripted scenarios and unit tests.
   typename NodeT::Record submit_now(core::NodeId node, Request request) {
-    return nodes_.at(node)->submit(request, scheduler_.now());
+    return nodes_.at(node)->submit(request, scheduler().now());
   }
 
   /// Mixed-mode extension: schedule a SERIALIZABLE submission — the node
@@ -188,8 +172,8 @@ class Cluster {
   void submit_serializable_at(sim::Time t, core::NodeId node,
                               Request request) {
     if (node >= nodes_.size()) throw std::out_of_range("no such node");
-    scheduler_.schedule_at(t, [this, node, request = std::move(request)] {
-      nodes_[node]->submit_serializable(request, scheduler_.now());
+    scheduler().schedule_at(t, [this, node, request = std::move(request)] {
+      nodes_[node]->submit_serializable(request, scheduler().now());
     });
   }
 
@@ -201,7 +185,7 @@ class Cluster {
   }
 
   /// Advance simulated time, executing all events up to `t`.
-  void run_until(sim::Time t) { scheduler_.run_until(t); }
+  void run_until(sim::Time t) { scheduler().run_until(t); }
 
   /// Run past the end of the partition and crash schedules plus enough
   /// anti-entropy rounds for every node to learn every update. Throws if
@@ -214,16 +198,16 @@ class Cluster {
     const sim::Time heal =
         std::max(config_.network.partitions.last_heal_time(),
                  config_.faults.last_restart_time());
-    if (scheduler_.now() < heal) run_until(heal);
+    if (scheduler().now() < heal) run_until(heal);
     const sim::Time step =
         config_.broadcast.anti_entropy_interval > 0.0
             ? 4.0 * config_.broadcast.anti_entropy_interval
             : 1.0;
     while (!converged() || pending_serializable() > 0) {
-      if (scheduler_.now() > max_time) {
+      if (scheduler().now() > max_time) {
         throw std::runtime_error("cluster failed to converge by max_time");
       }
-      run_until(scheduler_.now() + step);
+      run_until(scheduler().now() + step);
     }
   }
 
@@ -240,11 +224,11 @@ class Cluster {
   /// The formal execution (serial order = global timestamp order).
   core::Execution<App> execution() const { return shard::execution(nodes_); }
 
-  sim::Scheduler& scheduler() { return scheduler_; }
-  sim::Network& network() { return *network_; }
+  sim::Scheduler& scheduler() { return backend_.scheduler(); }
+  sim::Network& network() { return backend_.network(); }
   /// The runtime backend the nodes run against (the deterministic one; the
   /// threaded counterpart lives in runtime::RealtimeCluster).
-  runtime::SimBackend& backend() { return *backend_; }
+  runtime::SimBackend& backend() { return backend_; }
   NodeT& node(core::NodeId i) { return *nodes_.at(i); }
   const NodeT& node(core::NodeId i) const { return *nodes_.at(i); }
   std::size_t num_nodes() const { return nodes_.size(); }
@@ -283,10 +267,6 @@ class Cluster {
   /// must outlive the cluster or be detached first.
   void set_stream_observer(StreamObserver<App>* obs) {
     stream_obs_ = obs;
-    // The typed observer rides the unified hook object (type-erased); the
-    // cluster is the consumer that casts it back and attaches it per node.
-    hooks_.stream_observer = obs;
-    backend_->set_hooks(hooks_);
     for (auto& n : nodes_) n->set_stream_observer(obs);
   }
 
@@ -332,9 +312,9 @@ class Cluster {
       prev = &s.metrics;
       out.push_back(std::move(d));
     }
-    if (series_.empty() || series_.back().time < scheduler_.now()) {
+    if (series_.empty() || series_.back().time < backend_.scheduler().now()) {
       MetricsSample tail;
-      tail.time = scheduler_.now();
+      tail.time = backend_.scheduler().now();
       const obs::MetricsRegistry cum = base_metrics();
       tail.metrics =
           prev ? cum.delta_from(*prev) : cum.delta_from(obs::MetricsRegistry{});
@@ -352,7 +332,7 @@ class Cluster {
     for (const auto& n : nodes_) {
       n->broadcast_stats().export_to(reg);
     }
-    const sim::NetworkStats& ns = network_->stats();
+    const sim::NetworkStats& ns = backend_.network().stats();
     reg.add_counter("net.sent", ns.sent);
     reg.add_counter("net.delivered", ns.delivered);
     reg.add_counter("net.dropped_partition", ns.dropped_partition);
@@ -361,7 +341,7 @@ class Cluster {
     reg.add_counter("cluster.nodes", nodes_.size());
     reg.add_counter("cluster.scheduled_submissions", scheduled_submissions_);
     reg.add_counter("cluster.updates_originated", total_originated());
-    reg.set_gauge("cluster.sim_time", scheduler_.now());
+    reg.set_gauge("cluster.sim_time", backend_.scheduler().now());
     // Retention footprint (the E20 O(window)-vs-O(history) proxies): log
     // entries and state snapshots at the engine, wire messages in the
     // repair stores, and prefix slots across all originated records.
@@ -402,31 +382,36 @@ class Cluster {
     std::sort(at.begin(), at.end());
     at.erase(std::unique(at.begin(), at.end()), at.end());
     for (const sim::Time t : at) {
-      scheduler_.schedule_at(t, [this] { record_metrics_sample(); });
+      scheduler().schedule_at(t, [this] { record_metrics_sample(); });
     }
   }
 
   /// Append one cumulative snapshot at the current simulated time (at most
   /// one per instant — a dynamic boundary can coincide with a static one).
   void record_metrics_sample() {
-    if (!series_.empty() && series_.back().time == scheduler_.now()) {
+    if (!series_.empty() && series_.back().time == scheduler().now()) {
       series_.back().metrics = base_metrics();
       return;
     }
     MetricsSample s;
-    s.time = scheduler_.now();
+    s.time = scheduler().now();
     s.metrics = base_metrics();
     series_.push_back(std::move(s));
   }
 
-  /// Build the unified hook set and hand it to the backend: dispatches and
-  /// message fates go to the trace shards (shard::trace_hooks).
-  void install_hooks() {
-    if (tracer_) {
-      trace_hooks(hooks_, *tracer_, [this] { return scheduler_.now(); });
+  /// Fold the fault plan into the layers that execute it: its partition
+  /// cuts into the network's schedule (the plan is the single user-facing
+  /// fault surface; the network keeps consulting its own config at send
+  /// time), and its Byzantine payload adversary into the broadcast options
+  /// (executed by each node's broadcast receive path).
+  static Config fold_faults(Config config) {
+    for (const sim::PartitionEvent& ev : config.faults.partitions().events()) {
+      config.network.partitions.add(ev);
     }
-    hooks_.stream_observer = stream_obs_;
-    backend_->set_hooks(hooks_);
+    if (config.faults.byzantine().enabled) {
+      config.broadcast.byzantine = config.faults.byzantine();
+    }
+    return config;
   }
 
   /// Reject fault/config combinations that would break recovery, up front
@@ -483,11 +468,11 @@ class Cluster {
             const auto it = armed.find(seq);
             if (it == armed.end()) return false;
             const sim::MidBroadcastCrash mb = it->second;
-            const sim::Time now = scheduler_.now();
+            const sim::Time now = scheduler().now();
             nodes_[n]->crash(now);
             if (config_.metrics_series) record_metrics_sample();
-            scheduler_.schedule_at(now + mb.down_for, [this, n, mb] {
-              nodes_[n]->restart(mb.mode, scheduler_.now(),
+            scheduler().schedule_at(now + mb.down_for, [this, n, mb] {
+              nodes_[n]->restart(mb.mode, scheduler().now(),
                                  total_originated(), mb.keep_fraction);
               if (config_.metrics_series) record_metrics_sample();
             });
@@ -498,16 +483,11 @@ class Cluster {
 
   Config config_;
   sim::Rng master_rng_;
-  sim::Scheduler scheduler_;
-  // Tracing sits above the nodes (they hold raw pointers into it) and is
-  // declared before them so it outlives their destructors. Set iff tracing
-  // is enabled.
+  // Tracing sits above the nodes (they hold raw pointers into it) and the
+  // backend (its hooks do), and is declared before both so it outlives
+  // their destructors. Set iff tracing is enabled.
   std::unique_ptr<obs::ShardedTracer> tracer_;
-  std::unique_ptr<sim::Network> network_;
-  std::unique_ptr<runtime::SimBackend> backend_;
-  /// The one registration object for all observation (dispatch, message
-  /// fates, typed stream observer) — re-installed whenever it changes.
-  runtime::Hooks hooks_;
+  runtime::SimBackend backend_;
   std::vector<std::unique_ptr<NodeT>> nodes_;
   StreamObserver<App>* stream_obs_ = nullptr;
   std::uint64_t scheduled_submissions_ = 0;

@@ -113,9 +113,11 @@ inline obs::EventType fate_event_type(runtime::MessageFate fate) {
 /// 0: the message travelled) to the destination's — so the causal graph
 /// threads each node's track through the deliveries it actually observed.
 /// `now` stamps the fates; `dispatch` = false leaves dispatches untraced.
-inline void trace_hooks(runtime::Hooks& hooks, obs::ShardedTracer& tracer,
-                        std::function<sim::Time()> now, bool dispatch = true) {
+inline runtime::Hooks trace_hooks(obs::ShardedTracer& tracer,
+                                  std::function<sim::Time()> now,
+                                  bool dispatch = true) {
   static_assert(runtime::kNoWorker == obs::kControlNode);
+  runtime::Hooks hooks;
   if (dispatch) {
     hooks.on_dispatch = [&tracer](runtime::NodeId worker, sim::Time t,
                                   std::uint64_t id) {
@@ -132,6 +134,7 @@ inline void trace_hooks(runtime::Hooks& hooks, obs::ShardedTracer& tracer,
     tracer.shard(at_dst ? dst : src)
         .record(type, now(), at_dst ? dst : src, 0, 0, at_dst ? src : dst, id);
   };
+  return hooks;
 }
 
 }  // namespace shard

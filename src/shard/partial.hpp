@@ -38,7 +38,6 @@
 #include "core/prefix.hpp"
 #include "core/timestamp.hpp"
 #include "net/broadcast.hpp"
-#include "runtime/sim_backend.hpp"
 #include "shard/update_log.hpp"
 #include "sim/network.hpp"
 #include "sim/scheduler.hpp"
@@ -153,7 +152,7 @@ class PartialCluster {
   };
 
   explicit PartialCluster(Config config)
-      : config_(config), rng_(config.seed), executor_(scheduler_) {
+      : config_(config), rng_(config.seed) {
     if (config_.replication_factor == 0 ||
         config_.replication_factor > config_.num_nodes) {
       throw std::invalid_argument("replication factor out of range");
@@ -173,15 +172,13 @@ class PartialCluster {
       }
       networks_.push_back(std::make_unique<sim::Network>(
           scheduler_, group_network(g), rng_.fork_seed()));
-      transports_.push_back(
-          std::make_unique<runtime::SimTransport>(*networks_.back()));
       const std::size_t r = replicas_[g].size();
       for (core::NodeId rank = 0; rank < r; ++rank) {
         NodeState& node = *nodes_[replicas_[g][rank]];
         Replica& rep = node.groups.try_emplace(g, config_.checkpoint_interval)
                            .first->second;
         rep.endpoint = std::make_unique<Broadcast>(
-            executor_, *transports_.back(), rank, r, options, rng_.fork_seed(),
+            scheduler_, *networks_.back(), rank, r, options, rng_.fork_seed(),
             [&node, &log = rep.log](const typename Broadcast::Wire& w) {
               node.clock.observe(w.payload.ts);
               log.insert(w.payload);
@@ -438,12 +435,9 @@ class PartialCluster {
   Config config_;
   sim::Rng rng_;
   sim::Scheduler scheduler_;
-  runtime::SimExecutor executor_;
   std::vector<std::vector<core::NodeId>> replicas_;
-  /// Per group: its network over replica ranks, and the transport its
-  /// endpoints share.
+  /// Per group: its network over replica ranks, shared by its endpoints.
   std::vector<std::unique_ptr<sim::Network>> networks_;
-  std::vector<std::unique_ptr<runtime::SimTransport>> transports_;
   std::vector<std::unique_ptr<NodeState>> nodes_;
   Stats stats_;
 };

@@ -4,6 +4,8 @@
 
 namespace sim {
 
+using Fate = runtime::MessageFate;
+
 void Network::register_node(NodeId node, Handler handler) {
   if (node >= handlers_.size()) handlers_.resize(node + 1);
   handlers_[node] = std::move(handler);
@@ -21,7 +23,7 @@ std::uint64_t Network::send(NodeId src, NodeId dst, std::any payload) {
   // running protocol stack to transmit or receive with.
   if (node_down(src) || node_down(dst)) {
     ++stats_.dropped_crashed;
-    if (observer_) observer_(src, dst, 0, MessageFate::kDroppedCrashed);
+    if (on_fate_) on_fate_(src, dst, 0, Fate::kDroppedCrashed);
     return 0;
   }
   // A cut active at send time swallows the message. The paper's broadcast
@@ -29,19 +31,19 @@ std::uint64_t Network::send(NodeId src, NodeId dst, std::any payload) {
   // here is exactly the failure the correctness conditions must tolerate.
   if (!config_.partitions.connected(src, dst, sched_.now())) {
     ++stats_.dropped_partition;
-    if (observer_) observer_(src, dst, 0, MessageFate::kDroppedPartition);
+    if (on_fate_) on_fate_(src, dst, 0, Fate::kDroppedPartition);
     return 0;
   }
   if (config_.drop_probability > 0.0 &&
       rng_.bernoulli(config_.drop_probability)) {
     ++stats_.dropped_random;
-    if (observer_) observer_(src, dst, 0, MessageFate::kDroppedRandom);
+    if (on_fate_) on_fate_(src, dst, 0, Fate::kDroppedRandom);
     return 0;
   }
   const std::uint64_t id = next_msg_id_++;
-  Message msg{src, dst, id, std::move(payload)};
+  runtime::Message msg{src, dst, id, std::move(payload)};
   const Time latency = config_.delay.sample(rng_);
-  if (observer_) observer_(src, dst, id, MessageFate::kSent);
+  if (on_fate_) on_fate_(src, dst, id, Fate::kSent);
   sched_.schedule_after(latency, [this, msg = std::move(msg)]() {
     // Deliver even if a partition started after the send: the datagram was
     // already in flight. (Cut-at-send-time is the standard simplification;
@@ -50,15 +52,11 @@ std::uint64_t Network::send(NodeId src, NodeId dst, std::any payload) {
     // and is lost — anti-entropy recovers it after the restart.
     if (node_down(msg.dst)) {
       ++stats_.dropped_crashed;
-      if (observer_) {
-        observer_(msg.src, msg.dst, msg.id, MessageFate::kDroppedCrashed);
-      }
+      if (on_fate_) on_fate_(msg.src, msg.dst, msg.id, Fate::kDroppedCrashed);
       return;
     }
     ++stats_.delivered;
-    if (observer_) {
-      observer_(msg.src, msg.dst, msg.id, MessageFate::kDelivered);
-    }
+    if (on_fate_) on_fate_(msg.src, msg.dst, msg.id, Fate::kDelivered);
     handlers_[msg.dst](msg);
   });
   return id;

@@ -9,24 +9,16 @@
 
 #include <any>
 #include <cstdint>
-#include <functional>
 #include <utility>
 #include <vector>
 
+#include "runtime/hooks.hpp"
 #include "sim/delay.hpp"
 #include "sim/partition.hpp"
 #include "sim/rng.hpp"
 #include "sim/scheduler.hpp"
 
 namespace sim {
-
-/// A delivered datagram.
-struct Message {
-  NodeId src = 0;
-  NodeId dst = 0;
-  std::uint64_t id = 0;  // unique per send, for tracing
-  std::any payload;
-};
 
 /// Counters exposed for the availability experiments (E8, E12, E18).
 struct NetworkStats {
@@ -40,32 +32,13 @@ struct NetworkStats {
   std::uint64_t dropped_crashed = 0;
 };
 
-/// Simulated unreliable network.
+/// Simulated unreliable network, and the simulator's runtime::Transport.
 ///
 /// One instance serves the whole cluster. Each node registers a receive
 /// handler; `send` samples a latency from the delay model and schedules
 /// delivery, unless the message is lost to a partition cut or random drop.
-class Network {
+class Network final : public runtime::Transport {
  public:
-  using Handler = std::function<void(const Message&)>;
-
-  /// What became of one send attempt (reported to the observer; the
-  /// stats counters are the aggregate view of the same outcomes).
-  enum class MessageFate {
-    kSent,             ///< Accepted; delivery scheduled after sampled delay.
-    kDelivered,        ///< Handed to the destination's handler.
-    kDroppedPartition, ///< Lost to an active cut at send time.
-    kDroppedRandom,    ///< Lost to the random-drop coin.
-    kDroppedCrashed,   ///< An endpoint was down at send or delivery time.
-  };
-  /// Message-fate observer, called once per outcome (a sent message that
-  /// is later delivered reports twice: kSent, then kDelivered). `id` is 0
-  /// for messages dropped at send time (no id was allocated). Purely
-  /// observational; installing one changes no delivery behavior.
-  using Observer =
-      std::function<void(NodeId src, NodeId dst, std::uint64_t id,
-                         MessageFate fate)>;
-
   struct Config {
     Delay delay = Delay::constant(0.01);
     double drop_probability = 0.0;
@@ -79,41 +52,39 @@ class Network {
   Network& operator=(const Network&) = delete;
 
   /// Register the receive handler for `node`. Grows the node table as needed.
-  void register_node(NodeId node, Handler handler);
+  void register_node(NodeId node, Handler handler) override;
 
   /// Number of registered nodes.
-  std::size_t node_count() const { return handlers_.size(); }
+  std::size_t node_count() const override { return handlers_.size(); }
 
   /// Send `payload` from src to dst. Returns the message id (0 if the
   /// message was dropped immediately).
-  std::uint64_t send(NodeId src, NodeId dst, std::any payload);
+  std::uint64_t send(NodeId src, NodeId dst, std::any payload) override;
 
   /// Broadcast to every registered node except src. Returns messages sent.
-  std::size_t send_to_all(NodeId src, const std::any& payload);
-
-  /// Connectivity query, forwarded to the partition schedule at current time.
-  bool connected_now(NodeId a, NodeId b) const {
-    return config_.partitions.connected(a, b, sched_.now());
-  }
+  std::size_t send_to_all(NodeId src, const std::any& payload) override;
 
   /// Mark a node crashed/restarted. While down the node neither sends nor
   /// receives: sends from/to it are dropped at send time, and in-flight
   /// messages addressed to it are dropped at delivery time. Driven by
   /// Node::crash()/restart() (single source of truth — the schedule only
   /// decides *when* the cluster calls those).
-  void set_node_down(NodeId node, bool down);
+  void set_node_down(NodeId node, bool down) override;
 
   /// Is `node` currently marked down?
-  bool node_down(NodeId node) const {
+  bool node_down(NodeId node) const override {
     return node < down_.size() && down_[node];
   }
 
   const NetworkStats& stats() const { return stats_; }
   const Config& config() const { return config_; }
 
-  /// Install (or clear, with nullptr) the message-fate observer. Used by
-  /// the tracer; costs one branch per outcome when unset.
-  void set_observer(Observer observer) { observer_ = std::move(observer); }
+  /// Install (or clear, with nullptr) the message-fate hook, called once
+  /// per outcome; the stats counters are the aggregate view of the same
+  /// outcomes.
+  void set_fate_hook(runtime::Hooks::MessageFateFn hook) {
+    on_fate_ = std::move(hook);
+  }
 
  private:
   Scheduler& sched_;
@@ -122,7 +93,7 @@ class Network {
   std::vector<Handler> handlers_;
   std::vector<char> down_;  ///< down_[n]: node n is currently crashed
   NetworkStats stats_;
-  Observer observer_;
+  runtime::Hooks::MessageFateFn on_fate_;
   std::uint64_t next_msg_id_ = 1;
 };
 

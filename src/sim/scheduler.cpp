@@ -4,7 +4,7 @@
 
 namespace sim {
 
-Scheduler::EventId Scheduler::schedule_at(Time t, Action action) {
+Scheduler::TimerId Scheduler::schedule_at(Time t, Action action) {
   if (t < now_) {
     // Scheduling into the past would silently reorder causality; treat as a
     // programming error at the call site but clamp so protocol code that
@@ -20,7 +20,7 @@ Scheduler::EventId Scheduler::schedule_at(Time t, Action action) {
   return next_id_ - 1;
 }
 
-bool Scheduler::cancel(EventId id) {
+bool Scheduler::cancel(TimerId id) {
   if (id == 0 || id >= next_id_) return false;
   // Only record ids that might still be pending.
   cancelled_.insert(id);
@@ -29,7 +29,7 @@ bool Scheduler::cancel(EventId id) {
   return true;
 }
 
-bool Scheduler::is_cancelled(EventId id) {
+bool Scheduler::is_cancelled(TimerId id) {
   const auto it = cancelled_.find(id);
   if (it == cancelled_.end()) return false;
   // Each event is popped at most once, so this tombstone is spent: drop it
@@ -56,7 +56,7 @@ bool Scheduler::step() {
     assert(ev.t >= now_);
     now_ = ev.t;
     ++executed_;
-    if (observer_) observer_(ev.t, ev.id);
+    if (on_dispatch_) on_dispatch_(runtime::kNoWorker, ev.t, ev.id);
     dispatching_ = true;
     ev.action();
     // Drain end-of-dispatch work (batch flushes). Index loop: a deferred

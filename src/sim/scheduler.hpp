@@ -9,60 +9,52 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <queue>
 #include <unordered_set>
 #include <vector>
 
+#include "runtime/hooks.hpp"
 #include "sim/delay.hpp"
 
 namespace sim {
 
-/// A deterministic discrete-event scheduler ("virtual time" event loop).
+/// A deterministic discrete-event scheduler ("virtual time" event loop),
+/// and the simulator's runtime::Executor: one instance serves every node.
 ///
 /// Components schedule closures at absolute or relative simulated times;
 /// `run()` drains the queue in (time, insertion-sequence) order. Cancellation
 /// is supported so protocols can maintain retransmission timers.
-class Scheduler {
+class Scheduler final : public runtime::Executor {
  public:
-  using Action = std::function<void()>;
-  /// Identifies a scheduled event; usable with `cancel`.
-  using EventId = std::uint64_t;
-  /// Dispatch observer: called once per executed event, after now() has
-  /// advanced to the event's time and before its action runs. Purely
-  /// observational — it must not schedule or cancel events — so installing
-  /// one never changes the (time, seq) execution order.
-  using Observer = std::function<void(Time t, EventId id)>;
-
   Scheduler() = default;
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
 
   /// Current simulated time. Starts at 0.
-  Time now() const { return now_; }
+  Time now() const override { return now_; }
 
   /// Schedule `action` at absolute simulated time `t` (>= now()).
-  EventId schedule_at(Time t, Action action);
+  TimerId schedule_at(Time t, Action action) override;
 
   /// Schedule `action` `dt` seconds from now.
-  EventId schedule_after(Time dt, Action action) {
+  TimerId schedule_after(Time dt, Action action) override {
     return schedule_at(now_ + dt, std::move(action));
   }
 
   /// Cancel a pending event. Returns false if it already ran or was
   /// previously cancelled.
-  bool cancel(EventId id);
+  bool cancel(TimerId id) override;
 
   /// Run `action` synchronously after the CURRENT event's action finishes —
   /// at the same simulated time, before any queued event, and without
-  /// creating a scheduler event (no new id, no dispatch observation, no
+  /// creating a scheduler event (no new id, no dispatch hook call, no
   /// perturbation of the (time, seq) order). This is the hook batching
   /// layers use to coalesce work accumulated within one dispatch: stage
   /// during the action, flush at its end. Deferred actions may defer
   /// further actions (drained FIFO until empty). Called while no event is
   /// dispatching (e.g. from test code driving components directly),
   /// `action` runs immediately.
-  void defer(Action action);
+  void defer(Action action) override;
 
   /// Execute the next pending event. Returns false when the queue is empty.
   bool step();
@@ -81,15 +73,18 @@ class Scheduler {
   /// Total events executed since construction.
   std::size_t events_executed() const { return executed_; }
 
-  /// Install (or clear, with nullptr) the dispatch observer. Used by the
-  /// tracer; costs one branch per dispatch when unset.
-  void set_observer(Observer observer) { observer_ = std::move(observer); }
+  /// Install (or clear, with nullptr) the dispatch hook, called once per
+  /// executed event with worker kNoWorker, after now() has advanced to the
+  /// event's time and before its action runs.
+  void set_dispatch_hook(runtime::Hooks::DispatchFn hook) {
+    on_dispatch_ = std::move(hook);
+  }
 
  private:
   struct Event {
     Time t = 0.0;
     std::uint64_t seq = 0;  // insertion order; tie-break for determinism
-    EventId id = 0;
+    TimerId id = 0;
     Action action;
   };
   struct Later {
@@ -105,18 +100,18 @@ class Scheduler {
   // both cancel() and the per-pop check O(1) — cancel-heavy chaos runs used
   // to pay O(log cancelled) per pop re-sorting a vector.
   std::priority_queue<Event, std::vector<Event>, Later> queue_;
-  std::unordered_set<EventId> cancelled_;
+  std::unordered_set<TimerId> cancelled_;
   // End-of-dispatch work staged by defer(); drained inside step() after the
   // current action returns. Index-based drain: deferred actions may append.
   std::vector<Action> deferred_;
   bool dispatching_ = false;
   std::uint64_t next_seq_ = 0;
-  EventId next_id_ = 1;
+  TimerId next_id_ = 1;
   Time now_ = 0.0;
   std::size_t executed_ = 0;
-  Observer observer_;
+  runtime::Hooks::DispatchFn on_dispatch_;
 
-  bool is_cancelled(EventId id);
+  bool is_cancelled(TimerId id);
 };
 
 }  // namespace sim

@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "net/broadcast.hpp"
-#include "runtime/sim_backend.hpp"
+#include "runtime/api.hpp"
 #include "sim/fault_plan.hpp"
 #include "sim/network.hpp"
 #include "sim/scheduler.hpp"
@@ -26,19 +26,16 @@ using Rb = net::ReliableBroadcast<Payload>;
 struct Harness {
   sim::Scheduler sched;
   std::unique_ptr<sim::Network> net;
-  // Endpoints run against the runtime execution API; the backend is the
-  // deterministic simulator pass-through.
-  std::unique_ptr<runtime::SimBackend> backend;
   std::vector<std::unique_ptr<Rb>> nodes;
   std::vector<std::vector<Payload>> delivered;
 
   Harness(std::size_t n, sim::Network::Config cfg, net::BroadcastOptions opts) {
     net = std::make_unique<sim::Network>(sched, std::move(cfg), 7);
-    backend = std::make_unique<runtime::SimBackend>(sched, *net);
     delivered.resize(n);
+    // The scheduler and network are the runtime Executor and Transport.
     for (sim::NodeId i = 0; i < n; ++i) {
       nodes.push_back(std::make_unique<Rb>(
-          backend->executor(i), backend->transport(), i, n, opts, 100 + i,
+          sched, *net, i, n, opts, 100 + i,
           [this, i](const Rb::Wire& w) { delivered[i].push_back(w.payload); }));
     }
     for (auto& node : nodes) node->start();
@@ -283,7 +280,7 @@ class ManualTransport final : public runtime::Transport {
   std::size_t node_count() const override { return handlers_.size(); }
   std::uint64_t send(sim::NodeId src, sim::NodeId dst,
                      std::any payload) override {
-    sim::Message m{src, dst, ++next_id_, std::move(payload)};
+    runtime::Message m{src, dst, ++next_id_, std::move(payload)};
     (dst == held_ ? captured : queue_).push_back(std::move(m));
     return next_id_;
   }
@@ -302,19 +299,19 @@ class ManualTransport final : public runtime::Transport {
   /// Deliver every queued datagram (and whatever those deliveries send).
   void pump() {
     while (!queue_.empty()) {
-      const sim::Message m = std::move(queue_.front());
+      const runtime::Message m = std::move(queue_.front());
       queue_.pop_front();
       handlers_[m.dst](m);
     }
   }
-  void feed(const sim::Message& m) { handlers_[m.dst](m); }
+  void feed(const runtime::Message& m) { handlers_[m.dst](m); }
 
-  std::deque<sim::Message> captured;
+  std::deque<runtime::Message> captured;
 
  private:
   sim::NodeId held_;
   std::vector<Handler> handlers_;
-  std::deque<sim::Message> queue_;
+  std::deque<runtime::Message> queue_;
   std::uint64_t next_id_ = 0;
 };
 
@@ -327,7 +324,6 @@ TEST(Broadcast, CausalDrainOrderMatchesGolden) {
   // callback — a re-entrant accept() — as a released serializable
   // transaction does. The golden sequence pins that tie-break.
   sim::Scheduler sched;
-  runtime::SimExecutor exec(sched);
   ManualTransport transport(3);
   net::BroadcastOptions opts;
   opts.anti_entropy_interval = 0.0;
@@ -339,7 +335,7 @@ TEST(Broadcast, CausalDrainOrderMatchesGolden) {
   std::size_t own_overtaken = 0;
   for (sim::NodeId i = 0; i < 4; ++i) {
     nodes.push_back(std::make_unique<Rb>(
-        exec, transport, i, 4, opts, 100 + i,
+        sched, transport, i, 4, opts, 100 + i,
         [&nodes, &order, &issued_at, &own_overtaken, i](const Rb::Wire& w) {
           if (i != 3) return;
           order.emplace_back(w.origin, w.origin_seq);
@@ -363,7 +359,7 @@ TEST(Broadcast, CausalDrainOrderMatchesGolden) {
     nodes[next(3)]->broadcast("w" + std::to_string(k));
     if (next(3) == 0) transport.pump();
   }
-  std::vector<sim::Message> run(transport.captured.begin(),
+  std::vector<runtime::Message> run(transport.captured.begin(),
                                 transport.captured.end());
   transport.captured.clear();
   ASSERT_EQ(run.size(), 36u);
@@ -374,7 +370,7 @@ TEST(Broadcast, CausalDrainOrderMatchesGolden) {
     std::swap(run[i], run[lo + next(i - lo + 1)]);
   }
   std::size_t multi_origin_releases = 0;
-  for (const sim::Message& m : run) {
+  for (const runtime::Message& m : run) {
     const std::size_t before = order.size();
     transport.feed(m);
     std::set<sim::NodeId> origins;

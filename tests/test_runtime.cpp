@@ -3,34 +3,40 @@
 //
 // Four claims under test:
 //
-//   * SimBackend differential — the runtime port is trace-invariant: the
-//     same (scenario, seed) yields byte-identical merged trace streams
-//     across repeated runs over the chaos and crash-chaos seed tiers, and
-//     nodes wired by hand to a SimBackend reproduce a golden trace.
-//   * Hooks unification — SimBackend::set_hooks drives the legacy
-//     scheduler-dispatch and network-fate observer surfaces: a consumer
-//     registered through runtime::Hooks sees exactly the sequence the
-//     legacy observers saw.
-//   * ThreadedBackend — real threads, real clocks: seeded runs converge,
-//     the full oracle stack (prefix-subsequence condition, transitivity,
-//     state == replay) holds on the assembled execution, and the merged
-//     per-node trace shards satisfy the send/fate shutdown contract.
+//   * Simulator trace invariance — the scheduler and network implement the
+//     runtime API directly: the same (scenario, seed) yields byte-identical
+//     merged trace streams across repeated runs over the chaos and
+//     crash-chaos seed tiers, and nodes wired by hand to a scheduler and
+//     network reproduce a golden trace.
+//   * Hooks — SimBackend::set_hooks installs one registration on the
+//     scheduler and network: a fixed run's dispatch and fate sequence
+//     matches a golden, and attaching a stream observer leaves a caller's
+//     hooks in place.
+//   * ThreadedBackend — real threads, real clocks: the bus keeps the
+//     Transport contract, seeded runs converge, the full oracle stack
+//     (prefix-subsequence condition, transitivity, state == replay) holds
+//     on the assembled execution, and the merged per-node trace shards
+//     satisfy the send/fate shutdown contract.
 //   * Shutdown drain — drain_and_stop refuses new sends before tracing
 //     them and delivers everything already on the bus, so no kNetSend is
 //     ever orphaned (runtime::validate_message_fates), even when shutdown
 //     races a full-throttle workload or crash/restart churn.
 #include <gtest/gtest.h>
 
+#include <any>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <tuple>
 #include <vector>
 
 #include "analysis/execution_checker.hpp"
+#include "analysis/streaming.hpp"
 #include "apps/airline/airline.hpp"
 #include "apps/dictionary/dictionary.hpp"
 #include "harness/scenario.hpp"
@@ -52,7 +58,7 @@ using Dict = apps::dictionary::Dictionary;
 using DictRequest = apps::dictionary::Request;
 
 // ---------------------------------------------------------------------------
-// SimBackend differential tier: the runtime port is trace-invariant
+// Simulator tier: runs on the runtime API are trace-invariant
 // ---------------------------------------------------------------------------
 
 harness::Scenario chaos_scenario(std::uint64_t seed, bool with_crashes) {
@@ -145,13 +151,12 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RuntimeCrashChaosTier,
 // ---------------------------------------------------------------------------
 
 TEST(RuntimeGolden, HandWiredNodesReproduceGoldenTrace) {
-  // Three dictionary nodes constructed directly against a SimBackend's
-  // executor and transport, outside any Cluster. The golden was recorded
-  // when nodes could also be wired through sim::Network& adapters and both
-  // wirings produced this stream.
+  // Three dictionary nodes constructed directly on a scheduler and network,
+  // outside any Cluster. The golden was recorded when nodes could also be
+  // wired through sim::Network& adapters and both wirings produced this
+  // stream.
   sim::Scheduler sched;
   sim::Network net(sched, {}, /*seed=*/7);
-  runtime::SimBackend backend(sched, net);
   obs::Tracer tracer(1 << 14);
   constexpr std::size_t kNodes = 3;
   net::BroadcastOptions opts;
@@ -159,10 +164,8 @@ TEST(RuntimeGolden, HandWiredNodesReproduceGoldenTrace) {
   std::vector<std::unique_ptr<shard::Node<Dict>>> nodes;
   for (std::size_t i = 0; i < kNodes; ++i) {
     nodes.push_back(std::make_unique<shard::Node<Dict>>(
-        static_cast<core::NodeId>(i),
-        backend.executor(static_cast<runtime::NodeId>(i)), backend.transport(),
-        kNodes, opts, /*checkpoint_interval=*/8, /*seed=*/100 + i, false,
-        &tracer));
+        static_cast<core::NodeId>(i), sched, net, kNodes, opts,
+        /*checkpoint_interval=*/8, /*seed=*/100 + i, false, &tracer));
   }
   for (auto& n : nodes) n->start();
   sim::Rng rng(42);
@@ -187,66 +190,95 @@ TEST(RuntimeGolden, HandWiredNodesReproduceGoldenTrace) {
 }
 
 // ---------------------------------------------------------------------------
-// Hooks unification: one registration, both legacy observer surfaces
+// Hooks: one registration on the scheduler and network
 // ---------------------------------------------------------------------------
 
-struct HookLog {
-  std::vector<std::tuple<double, std::uint64_t>> dispatches;
-  std::vector<std::tuple<sim::NodeId, sim::NodeId, std::uint64_t, int>> fates;
-};
+std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t v) {
+  for (int b = 0; b < 8; ++b) {
+    h ^= (v >> (8 * b)) & 0xff;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
 
-TEST(RuntimeHooks, UnifiedHooksMatchLegacyObserverSequences) {
-  const auto drive = [](bool use_hooks) {
-    sim::Scheduler sched;
-    sim::Network::Config ncfg;
-    ncfg.drop_probability = 0.2;
-    sim::Network net(sched, ncfg, 7);
-    runtime::SimBackend backend(sched, net);
-    HookLog log;
-    if (use_hooks) {
-      runtime::Hooks hooks;
-      hooks.on_dispatch = [&log](runtime::NodeId worker, sim::Time t,
-                                 std::uint64_t id) {
-        EXPECT_EQ(worker, runtime::kNoWorker);
-        log.dispatches.emplace_back(t, id);
-      };
-      hooks.on_message_fate = [&log](sim::NodeId src, sim::NodeId dst,
-                                     std::uint64_t id,
-                                     runtime::MessageFate fate) {
-        log.fates.emplace_back(src, dst, id, static_cast<int>(fate));
-      };
-      backend.set_hooks(std::move(hooks));
-    } else {
-      sched.set_observer([&log](sim::Time t, std::uint64_t id) {
-        log.dispatches.emplace_back(t, id);
-      });
-      net.set_observer([&log](sim::NodeId src, sim::NodeId dst,
-                              std::uint64_t id,
-                              sim::Network::MessageFate fate) {
-        log.fates.emplace_back(src, dst, id, static_cast<int>(fate));
-      });
-    }
-    using Rb = net::ReliableBroadcast<std::string>;
-    std::vector<std::unique_ptr<Rb>> ends;
-    net::BroadcastOptions opts;
-    opts.anti_entropy_interval = 0.2;
-    for (sim::NodeId i = 0; i < 3; ++i) {
-      ends.push_back(std::make_unique<Rb>(backend.executor(i),
-                                          backend.transport(), i, 3, opts,
-                                          100 + i, [](const Rb::Wire&) {}));
-    }
-    for (auto& e : ends) e->start();
-    ends[0]->broadcast("x");
-    ends[2]->broadcast("y");
-    sched.run_until(3.0);
-    return log;
+TEST(RuntimeHooks, DispatchAndFateSequenceMatchesGolden) {
+  // Three lossy broadcast endpoints observed through SimBackend::set_hooks.
+  // The golden was recorded when the scheduler and network still had their
+  // own observer surfaces, and both routes saw this sequence.
+  sim::Network::Config ncfg;
+  ncfg.drop_probability = 0.2;
+  runtime::SimBackend backend(ncfg, /*seed=*/7);
+  constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ull;
+  std::size_t dispatches = 0, fates = 0;
+  std::uint64_t dispatch_digest = kFnvBasis, fate_digest = kFnvBasis;
+  std::size_t by_fate[5] = {};
+  runtime::Hooks hooks;
+  hooks.on_dispatch = [&](runtime::NodeId worker, sim::Time t,
+                          std::uint64_t id) {
+    EXPECT_EQ(worker, runtime::kNoWorker);
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &t, sizeof bits);
+    dispatch_digest = fnv_mix(fnv_mix(dispatch_digest, bits), id);
+    ++dispatches;
   };
-  const HookLog via_hooks = drive(true);
-  const HookLog via_legacy = drive(false);
-  ASSERT_FALSE(via_hooks.dispatches.empty());
-  ASSERT_FALSE(via_hooks.fates.empty());
-  EXPECT_EQ(via_hooks.dispatches, via_legacy.dispatches);
-  EXPECT_EQ(via_hooks.fates, via_legacy.fates);
+  hooks.on_message_fate = [&](runtime::NodeId src, runtime::NodeId dst,
+                              std::uint64_t id, runtime::MessageFate fate) {
+    const auto f = static_cast<std::uint64_t>(fate);
+    fate_digest =
+        fnv_mix(fnv_mix(fnv_mix(fnv_mix(fate_digest, src), dst), id), f);
+    ++by_fate[f];
+    ++fates;
+  };
+  backend.set_hooks(std::move(hooks));
+  using Rb = net::ReliableBroadcast<std::string>;
+  std::vector<std::unique_ptr<Rb>> ends;
+  net::BroadcastOptions opts;
+  opts.anti_entropy_interval = 0.2;
+  for (sim::NodeId i = 0; i < 3; ++i) {
+    ends.push_back(std::make_unique<Rb>(backend.scheduler(), backend.network(),
+                                        i, 3, opts, 100 + i,
+                                        [](const Rb::Wire&) {}));
+  }
+  for (auto& e : ends) e->start();
+  ends[0]->broadcast("x");
+  ends[2]->broadcast("y");
+  backend.scheduler().run_until(3.0);
+  EXPECT_EQ(dispatches, 63u);
+  EXPECT_EQ(dispatch_digest, 0xa87bf5466d7b5f38ull);
+  EXPECT_EQ(fates, 68u);
+  EXPECT_EQ(fate_digest, 0xb37d5f95af146e44ull);
+  using F = runtime::MessageFate;
+  EXPECT_EQ(by_fate[static_cast<int>(F::kSent)], 30u);
+  EXPECT_EQ(by_fate[static_cast<int>(F::kDelivered)], 30u);
+  EXPECT_EQ(by_fate[static_cast<int>(F::kDroppedRandom)], 8u);
+}
+
+TEST(RuntimeHooks, CallerHooksSurviveStreamObserver) {
+  // Attaching a stream observer is node-level and leaves the backend's
+  // hooks alone: hooks a caller installed first still see every dispatch.
+  shard::ClusterConfig cfg;
+  cfg.num_nodes = 3;
+  shard::Cluster<Dict> cluster(cfg);
+  std::size_t dispatches = 0, fates = 0;
+  runtime::Hooks hooks;
+  hooks.on_dispatch = [&](runtime::NodeId, sim::Time, std::uint64_t) {
+    ++dispatches;
+  };
+  hooks.on_message_fate = [&](runtime::NodeId, runtime::NodeId, std::uint64_t,
+                              runtime::MessageFate) { ++fates; };
+  cluster.backend().set_hooks(std::move(hooks));
+  analysis::StreamingChecker<Dict> checker(cfg.num_nodes);
+  cluster.set_stream_observer(&checker);
+  for (int k = 0; k < 6; ++k) {
+    cluster.submit_at(0.1 * k, static_cast<core::NodeId>(k % 3),
+                      DictRequest::insert(
+                          static_cast<apps::dictionary::Key>(k), "v"));
+  }
+  cluster.run_until(2.0);
+  EXPECT_GT(cluster.metrics().counters().at("checker.deliveries"), 0u);
+  EXPECT_GT(cluster.scheduler().events_executed(), 0u);
+  EXPECT_EQ(dispatches, cluster.scheduler().events_executed());
+  EXPECT_GT(fates, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -267,6 +299,47 @@ TEST(ThreadedBackend, TimersFireAndCancelWorks) {
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   backend.drain_and_stop();
   EXPECT_EQ(fired.load(), 1);
+}
+
+TEST(ThreadedBackend, BusKeepsTransportContract) {
+  runtime::ThreadedConfig tc;
+  tc.num_nodes = 2;
+  runtime::ThreadedBackend backend(tc);
+  std::vector<std::tuple<runtime::NodeId, runtime::NodeId, std::uint64_t,
+                         runtime::MessageFate>>
+      fates;
+  runtime::Hooks hooks;
+  hooks.on_message_fate = [&fates](runtime::NodeId src, runtime::NodeId dst,
+                                   std::uint64_t id, runtime::MessageFate f) {
+    fates.emplace_back(src, dst, id, f);
+  };
+  backend.set_hooks(std::move(hooks));
+  runtime::Transport& bus = backend.transport();
+  const auto ignore = [](const runtime::Message&) {};
+  // Node 2 has no worker.
+  EXPECT_THROW(bus.register_node(2, ignore), std::out_of_range);
+  EXPECT_THROW(bus.set_node_down(2, true), std::out_of_range);
+  EXPECT_THROW(static_cast<void>(bus.node_down(2)), std::out_of_range);
+  EXPECT_THROW(bus.send(0, 2, std::any{}), std::out_of_range);
+  bus.register_node(0, ignore);
+  bus.register_node(1, ignore);
+  EXPECT_EQ(bus.node_count(), 2u);
+  EXPECT_FALSE(bus.node_down(1));
+  bus.set_node_down(1, true);
+  EXPECT_TRUE(bus.node_down(1));
+  EXPECT_FALSE(bus.node_down(0));
+  // A down source sends nothing: the drop happens before an id exists.
+  EXPECT_EQ(bus.send(1, 0, std::any{}), 0u);
+  ASSERT_EQ(fates.size(), 1u);
+  EXPECT_EQ(std::get<0>(fates[0]), 1u);
+  EXPECT_EQ(std::get<1>(fates[0]), 0u);
+  EXPECT_EQ(std::get<2>(fates[0]), 0u);
+  EXPECT_EQ(std::get<3>(fates[0]), runtime::MessageFate::kDroppedCrashed);
+  bus.set_node_down(1, false);
+  EXPECT_FALSE(bus.node_down(1));
+  backend.start();
+  EXPECT_THROW(bus.register_node(0, ignore), std::logic_error);
+  backend.drain_and_stop();
 }
 
 TEST(ThreadedBackend, DeferRunsAfterCurrentTaskOnOwnWorker) {

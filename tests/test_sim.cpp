@@ -254,8 +254,8 @@ TEST(Network, DeliversAfterSampledDelay) {
   cfg.delay = sim::Delay::constant(0.5);
   sim::Network net(sched, cfg, 1);
   double delivered_at = -1.0;
-  net.register_node(0, [](const sim::Message&) {});
-  net.register_node(1, [&](const sim::Message& m) {
+  net.register_node(0, [](const runtime::Message&) {});
+  net.register_node(1, [&](const runtime::Message& m) {
     delivered_at = sched.now();
     EXPECT_EQ(std::any_cast<std::string>(m.payload), "hello");
   });
@@ -272,8 +272,8 @@ TEST(Network, PartitionAtSendTimeDropsMessage) {
   cfg.partitions = sim::FaultPlan{}.split_halves(2, 1, 0.0, 10.0).partitions();
   sim::Network net(sched, cfg, 1);
   int received = 0;
-  net.register_node(0, [](const sim::Message&) {});
-  net.register_node(1, [&](const sim::Message&) { ++received; });
+  net.register_node(0, [](const runtime::Message&) {});
+  net.register_node(1, [&](const runtime::Message&) { ++received; });
   net.send(0, 1, std::string("lost"));
   sched.run();
   EXPECT_EQ(received, 0);
@@ -290,9 +290,9 @@ TEST(Network, RandomDropRateRoughlyHonored) {
   sim::Network::Config cfg;
   cfg.drop_probability = 0.3;
   sim::Network net(sched, cfg, 21);
-  net.register_node(0, [](const sim::Message&) {});
+  net.register_node(0, [](const runtime::Message&) {});
   int received = 0;
-  net.register_node(1, [&](const sim::Message&) { ++received; });
+  net.register_node(1, [&](const runtime::Message&) { ++received; });
   for (int i = 0; i < 1000; ++i) net.send(0, 1, std::string("x"));
   sched.run();
   EXPECT_GT(received, 600);
@@ -305,7 +305,7 @@ TEST(Network, SendToAllSkipsSelf) {
   sim::Network net(sched, {}, 1);
   std::vector<int> got(3, 0);
   for (sim::NodeId i = 0; i < 3; ++i) {
-    net.register_node(i, [&got, i](const sim::Message&) { ++got[i]; });
+    net.register_node(i, [&got, i](const runtime::Message&) { ++got[i]; });
   }
   EXPECT_EQ(net.send_to_all(1, std::string("b")), 2u);
   sched.run();
