@@ -107,15 +107,6 @@ CheckReport check_transitive(const core::Execution<App>& exec) {
   return report;
 }
 
-/// Section 3.2: "transaction T is said to be k-complete in execution e
-/// provided that, in e, T sees the results of all but at most k of the
-/// preceding transactions."
-template <core::Application App>
-bool is_k_complete(const core::Execution<App>& exec, std::size_t i,
-                   std::size_t k) {
-  return exec.missing_count(i) <= k;
-}
-
 /// Section 3.1 atomicity of a consecutive index range [first, last]:
 /// "(a) each U_j includes each of the other U_k, k < j, in its prefix
 /// subsequence, and (b) all U_j have the same subset of the transactions

@@ -100,24 +100,26 @@ class StreamingChecker : public shard::StreamObserver<App> {
     /// for rewind-free fault plans (see file comment); a rewind disables
     /// pruning for the rest of the run.
     bool bounded_memory = false;
-    std::size_t shadow_checkpoint_interval = 32;
-    /// Snapshot bound per shadow in bounded mode (0 keeps all).
-    std::size_t shadow_max_checkpoints = 8;
     /// When set, a ring window around each violating update is pinned at
     /// detection time, so trace_dump still has the counter-example context
     /// even after the ring wraps (obs::PinnedWindow).
     obs::TraceSource* tracer = nullptr;
-    std::size_t pin_context = 6;
-    std::size_t max_pinned_windows = 32;
-    /// Divergence messages retained (events beyond it are only counted).
-    std::size_t max_divergence_messages = 16;
-    /// Incident seeds retained (obs::IncidentSeed rows recorded at
-    /// detection time, one per violation message — what
-    /// analysis::build_incident_report assembles into forensic bundles).
-    /// Seeds past the cap are only counted (checker.incident_seeds keeps
-    /// the true total).
-    std::size_t max_incident_seeds = 32;
   };
+
+  static constexpr std::size_t kShadowCheckpointInterval = 32;
+  /// Snapshot bound per shadow in bounded mode (unbounded mode keeps all).
+  static constexpr std::size_t kShadowMaxCheckpoints = 8;
+  /// Ring events pinned on each side of a violating update, and the most
+  /// windows pinned per run.
+  static constexpr std::size_t kPinContext = 6;
+  static constexpr std::size_t kMaxPinnedWindows = 32;
+  /// Divergence messages retained (events beyond it are only counted).
+  static constexpr std::size_t kMaxDivergenceMessages = 16;
+  /// Incident seeds retained (obs::IncidentSeed rows recorded at detection
+  /// time, one per violation message — what analysis::build_incident_report
+  /// assembles into forensic bundles). Seeds past the cap are only counted
+  /// (checker.incident_seeds keeps the true total).
+  static constexpr std::size_t kMaxIncidentSeeds = 32;
 
   explicit StreamingChecker(std::size_t num_nodes, Options opts = {})
       : opts_(std::move(opts)),
@@ -125,9 +127,8 @@ class StreamingChecker : public shard::StreamObserver<App> {
         prefix_report_(msg::kPrefixSubsequenceTitle),
         divergence_report_("streaming divergence") {
     for (std::size_t n = 0; n < num_nodes; ++n) {
-      shadows_.emplace_back(opts_.shadow_checkpoint_interval,
-                            opts_.bounded_memory ? opts_.shadow_max_checkpoints
-                                                 : 0);
+      shadows_.emplace_back(kShadowCheckpointInterval,
+                            opts_.bounded_memory ? kShadowMaxCheckpoints : 0);
     }
     reservations_.resize(num_nodes);
     max_logical_seen_.assign(num_nodes, 0);
@@ -231,8 +232,7 @@ class StreamingChecker : public shard::StreamObserver<App> {
       os << "node " << at
          << " state diverges from clean replay after merging ts "
          << ts.logical << ":" << ts.node;
-      if (divergence_report_.violations().size() <
-          opts_.max_divergence_messages) {
+      if (divergence_report_.violations().size() < kMaxDivergenceMessages) {
         divergence_report_.add_violation(os.str());
       }
       note_incident(os.str(), CheckReport::kNoTx, ts, now);
@@ -514,7 +514,7 @@ class StreamingChecker : public shard::StreamObserver<App> {
   void note_incident(const std::string& message, std::size_t tx,
                      const core::Timestamp& ts, sim::Time now) {
     ++incident_seeds_total_;
-    if (seeds_.size() >= opts_.max_incident_seeds) return;
+    if (seeds_.size() >= kMaxIncidentSeeds) return;
     obs::IncidentSeed s;
     s.message = message;
     s.tx_index = tx;
@@ -525,14 +525,12 @@ class StreamingChecker : public shard::StreamObserver<App> {
   }
 
   void pin_window(const core::Timestamp& ts) {
-    if (opts_.tracer == nullptr || pinned_.size() >= opts_.max_pinned_windows) {
-      return;
-    }
+    if (opts_.tracer == nullptr || pinned_.size() >= kMaxPinnedWindows) return;
     obs::PinnedWindow w;
     w.ts_logical = ts.logical;
     w.ts_node = ts.node;
     w.events =
-        opts_.tracer->slice_around(ts.logical, ts.node, opts_.pin_context);
+        opts_.tracer->slice_around(ts.logical, ts.node, kPinContext);
     pinned_.push_back(std::move(w));
   }
 

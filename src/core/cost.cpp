@@ -22,12 +22,6 @@ double CostStats::mean_cost(std::size_t i) const {
   return count_ == 0 ? 0.0 : sum_.at(i) / static_cast<double>(count_);
 }
 
-double CostStats::max_total() const {
-  double m = 0.0;
-  for (double v : max_) m = std::max(m, v);
-  return m;
-}
-
 std::string CostStats::summary() const {
   std::ostringstream os;
   os << "costs over " << count_ << " states:";

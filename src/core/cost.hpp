@@ -45,8 +45,6 @@ class CostStats {
   double final_cost(std::size_t i) const { return last_.at(i); }
   /// Mean over observed states (a discrete "area under the cost curve").
   double mean_cost(std::size_t i) const;
-  /// Max over constraints of max_cost.
-  double max_total() const;
 
   std::string summary() const;
 

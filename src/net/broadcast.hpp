@@ -77,13 +77,13 @@ struct BroadcastOptions {
   sim::ByzantineOptions byzantine;
   /// Batched floods + group commit: broadcasts staged within one scheduler
   /// dispatch are flushed together at its end (Scheduler::defer) — one
-  /// stable-outbox sync for the burst, and flood wires coalesced into batch
+  /// stable-outbox sync for the burst, and flood wires coalesced into
   /// packets of up to `max_batch` wires each (so a burst of k submissions
-  /// costs ceil(k/max_batch) packets per peer instead of k). 0 disables
-  /// both: every broadcast syncs and floods immediately, the legacy shape
-  /// (and the E25 ablation baseline). A flush holding a single wire always
-  /// takes the legacy packet/trace path, so batched configs are
-  /// byte-identical to unbatched ones whenever bursts never actually form.
+  /// costs ceil(k/max_batch) packets per peer instead of k). 0 flushes each
+  /// broadcast on its own, immediately (the E25 ablation baseline). A
+  /// single-wire flush is recorded the same way either way, so batched
+  /// configs are byte-identical to unbatched ones whenever bursts never
+  /// actually form.
   std::size_t max_batch = 0;
 };
 
@@ -172,35 +172,18 @@ class ReliableBroadcast {
     w.payload = std::move(payload);
     ++stats_.originated;
     accept(w);  // local delivery; also places it in the store for repair
-    if (options_.max_batch > 0) {
-      // Group-commit path: the outbox append above is write-ahead as always,
-      // but the sync and the flood are deferred to the end of the current
-      // scheduler dispatch so a submit burst shares one commit and its
-      // wires coalesce into batch packets (flush_flood).
-      staged_floods_.push_back(w.origin_seq);
-      if (!flush_scheduled_) {
-        flush_scheduled_ = true;
-        exec_->defer([this] { flush_flood(); });
-      }
-      return w.origin_seq;
-    }
-    // Immediate path: this broadcast is its own commit group.
-    ++stats_.outbox_commits;
-    ++stats_.outbox_records_synced;
-    // The intention record is now stable (outbox append + sync above); a
-    // crash injected here leaves the update durable-but-unsent, the boundary
-    // the write-ahead intention log must survive.
-    if (mid_crash_hook_ && mid_crash_hook_(w.origin_seq)) {
-      ++stats_.mid_broadcast_crashes;
-      return w.origin_seq;
-    }
-    if (options_.flood) {
-      const std::size_t peers = net_->send_to_all(self_, make_packet(w));
-      if (tracer_) {
-        tracer_->record(obs::EventType::kBroadcastSend,
-                        exec_->now(), self_, 0, 0, w.origin_seq,
-                        peers);
-      }
+    // The outbox append above is write-ahead; the sync and the flood happen
+    // in flush_flood(). Unbatched, this broadcast is its own commit group and
+    // flushes now (after any broadcast nested in the local delivery above
+    // flushed its own). Batched, the flush waits for the end of the current
+    // scheduler dispatch, so a submit burst shares one commit and its wires
+    // coalesce into multi-wire packets.
+    staged_floods_.push_back(w.origin_seq);
+    if (options_.max_batch == 0) {
+      flush_flood();
+    } else if (!flush_scheduled_) {
+      flush_scheduled_ = true;
+      exec_->defer([this] { flush_flood(); });
     }
     return w.origin_seq;
   }
@@ -261,7 +244,6 @@ class ReliableBroadcast {
   }
 
   const BroadcastStats& stats() const { return stats_; }
-  sim::NodeId self() const { return self_; }
   std::uint64_t own_issued() const { return own_seq_; }
 
   /// Arm the announcement protocol: each anti-entropy round also sends
@@ -299,67 +281,38 @@ class ReliableBroadcast {
   /// an armed adversary still duplicates and reorders but cannot corrupt.
   void set_corrupt_hook(CorruptFn hook) { corrupt_fn_ = std::move(hook); }
 
-  /// Amnesia restart: all volatile broadcast state — delivery vectors,
-  /// repair store of *other* nodes' payloads, causal holding buffer — is
-  /// lost. What survives is the stable outbox: this node's own wire
-  /// messages, written to stable storage before their external actions
-  /// fired (see sim/crash.hpp). They are re-accepted below, rebuilding the
-  /// node's knowledge of its own transactions; everything else is
-  /// re-learned from peers through the ordinary digest/repair path (the
-  /// node's first post-restart digest is all-zeros, so peers resend
-  /// everything they hold).
-  void restart_amnesia() {
-    // Amnesia recovery needs the complete stable outbox; a pruned store
-    // would have discarded part of it. Cluster config validation rejects
-    // the combination before any node exists.
-    assert(!options_.prune_repair_store);
-    std::vector<Wire> outbox = std::move(store_[self_]);
-    for (auto& s : store_) s.clear();
-    for (auto& e : seen_extra_) e.clear();
-    std::fill(delivered_count_.begin(), delivered_count_.end(), 0);
-    std::fill(contiguous_have_.begin(), contiguous_have_.end(), 0);
-    for (auto& buf : pending_) buf.clear();
-    held_.reset();  // a wire the adversary held back is volatile state
-    ++stats_.amnesia_resets;
-    set_down(false);
-    for (const Wire& w : outbox) {
-      ++stats_.outbox_replays;
-      accept(w);
-    }
-  }
-
-  /// Stale-disk restart (sim::RecoveryMode::kStaleDisk): stable storage
-  /// survived the crash but lost its recent suffix — the node resumes from
-  /// a stale checkpoint whose per-origin delivered counts are `keep`.
-  /// Delivery knowledge, the repair store of other nodes' payloads, and the
-  /// causal buffer all rewind to that point; the truncated tail is
-  /// re-learned from peers through the ordinary digest/repair path. The one
-  /// exception is the node's own outbox: intention records are written (and
-  /// synced) before external actions fire, so the outbox is complete even
-  /// when the merged log is not — own wires past the stale point are
+  /// Restart from a rewound stable point (sim::RecoveryMode::kAmnesia or
+  /// kStaleDisk): the node resumes knowing, per origin, only the first
+  /// keep[o] payloads — all zeros under amnesia, a stale checkpoint's
+  /// delivered counts under a stale disk. Delivery knowledge, the repair
+  /// store of other nodes' payloads and the causal buffer all rewind to that
+  /// point; the rest is re-learned from peers through the ordinary
+  /// digest/repair path (after amnesia the first digest is all zeros, so
+  /// peers resend everything they hold). The one exception is the stable
+  /// outbox: this node's own wires are written (and synced) before their
+  /// external actions fire (see sim/crash.hpp), so the outbox is complete
+  /// even when the merged log is not. Own wires past keep[self] are
   /// re-accepted below, re-announcing them to the cluster, and the complete
   /// outbox stays available for peer repair.
-  void restart_stale(const std::vector<std::uint64_t>& keep) {
-    // Like amnesia, stale-disk recovery may re-request anything above the
-    // stale point, so the repair stores must be complete (Cluster validates
-    // the prune_repair_store combination up front).
+  void rewind(sim::RecoveryMode mode, const std::vector<std::uint64_t>& keep) {
+    // A rewound node may re-request anything above its stable point, so the
+    // repair stores and the own outbox must be complete; Cluster config
+    // validation rejects prune_repair_store with these modes up front.
     assert(!options_.prune_repair_store);
+    assert(mode != sim::RecoveryMode::kDurable);
     assert(keep.size() == delivered_count_.size());
     std::vector<Wire> outbox = std::move(store_[self_]);
     store_[self_].clear();
     for (std::size_t o = 0; o < store_.size(); ++o) {
-      if (o == self_) continue;
-      auto& s = store_[o];
-      if (s.size() > keep[o]) {
-        s.erase(s.begin() + static_cast<std::ptrdiff_t>(keep[o]), s.end());
-      }
+      if (store_[o].size() > keep[o]) store_[o].resize(keep[o]);
     }
     delivered_count_ = keep;
     contiguous_have_ = keep;
     for (auto& e : seen_extra_) e.clear();
     for (auto& buf : pending_) buf.clear();
     held_.reset();  // a wire the adversary held back is volatile state
-    ++stats_.stale_resets;
+    ++(mode == sim::RecoveryMode::kAmnesia ? stats_.amnesia_resets
+                                           : stats_.stale_resets);
     set_down(false);
     for (std::size_t i = keep[self_]; i < outbox.size(); ++i) {
       ++stats_.outbox_replays;
@@ -372,31 +325,23 @@ class ReliableBroadcast {
   }
 
  private:
-  enum class PacketType { kWire, kDigest, kRepair, kAnnounce, kWireBatch };
+  enum class PacketType { kWires, kDigest, kAnnounce };
   struct Packet {
-    PacketType type = PacketType::kWire;
-    Wire wire;                 // kWire
+    PacketType type = PacketType::kWires;
+    std::vector<Wire> wires;            // kWires: a flood or a repair reply
+    bool repair_truncated = false;      // kWires: capped repair; more held
     std::vector<std::uint64_t> digest;  // kDigest: sender's contiguous counts
-    std::vector<Wire> repairs;          // kRepair
-    bool repair_truncated = false;      // kRepair: capped; more available
     std::uint64_t announce_clock = 0;   // kAnnounce: promise logical
     sim::NodeId announce_node = 0;      // kAnnounce: promise tiebreak
     std::uint64_t announce_issued = 0;  // kAnnounce
-    std::vector<Wire> batch;            // kWireBatch: coalesced flood wires
   };
 
-  static std::any make_packet(Wire w) {
-    Packet p;
-    p.type = PacketType::kWire;
-    p.wire = std::move(w);
-    return std::any(std::move(p));
-  }
-
-  /// End-of-dispatch flush of the staged broadcast burst (max_batch > 0).
-  /// One group commit covers every staged record — each was appended to the
-  /// stable outbox inside its broadcast(), write-ahead of any flood — and
-  /// the sync lands here, before the first flood send, so the intention-log
-  /// boundary guarantee holds per batch exactly as it held per record.
+  /// Flush of the staged broadcasts: one per broadcast when unbatched, one
+  /// per scheduler dispatch when batched. One group commit covers every
+  /// staged record — each was appended to the stable outbox inside its
+  /// broadcast(), write-ahead of any flood — and the sync lands here, before
+  /// the first flood send, so the intention-log boundary guarantee holds per
+  /// batch exactly as it holds per record.
   void flush_flood() {
     flush_scheduled_ = false;
     std::vector<std::uint64_t> staged = std::move(staged_floods_);
@@ -406,9 +351,10 @@ class ReliableBroadcast {
     stats_.outbox_records_synced += staged.size();
     std::vector<Wire> chunk;
     for (std::size_t i = 0; i < staged.size(); ++i) {
-      // The batch is durable; a crash injected at any wire's boundary
-      // suppresses the rest of the flood (those records reach peers only
-      // through post-restart anti-entropy — the guarantee under test).
+      // The batch is durable; a crash injected at any wire's boundary leaves
+      // it durable-but-unsent and suppresses the rest of the flood (those
+      // records reach peers only through post-restart anti-entropy — the
+      // guarantee under test).
       if (mid_crash_hook_ && mid_crash_hook_(staged[i])) {
         ++stats_.mid_broadcast_crashes;
         return;
@@ -422,44 +368,33 @@ class ReliableBroadcast {
     }
   }
 
-  /// Flood one coalesced chunk to all peers. A single-wire chunk takes the
-  /// legacy kWire packet and trace shape — so a batched config whose bursts
-  /// never coalesce is byte-identical (packets, RNG draws, trace stream) to
-  /// max_batch == 0.
+  /// Flood one chunk of staged wires to all peers in one packet. Only a
+  /// multi-wire chunk counts as a batch and records kBroadcastBatchSend, so
+  /// a batched config whose bursts never coalesce is byte-identical
+  /// (packets, RNG draws, trace stream) to max_batch == 0.
   void send_flood_chunk(std::vector<Wire> chunk) {
     const sim::Time now = exec_->now();
-    if (chunk.size() == 1) {
-      const std::uint64_t seq = chunk.front().origin_seq;
-      const std::size_t peers =
-          net_->send_to_all(self_, make_packet(std::move(chunk.front())));
-      if (tracer_) {
-        tracer_->record(obs::EventType::kBroadcastSend, now, self_, 0, 0, seq,
-                        peers);
-      }
-      return;
+    const std::size_t wires = chunk.size();
+    if (wires > 1) {
+      ++stats_.flood_batches;
+      stats_.flood_batched_wires += wires;
     }
-    ++stats_.flood_batches;
-    stats_.flood_batched_wires += chunk.size();
     Packet p;
-    p.type = PacketType::kWireBatch;
-    p.batch = std::move(chunk);
-    const std::size_t wires = p.batch.size();
-    std::vector<std::uint64_t> seqs;
-    if (tracer_) {
-      seqs.reserve(wires);
-      for (const Wire& w : p.batch) seqs.push_back(w.origin_seq);
-    }
-    const std::size_t peers = net_->send_to_all(self_, std::any(std::move(p)));
+    p.wires = std::move(chunk);
+    const std::any packet = std::move(p);
+    const std::size_t peers = net_->send_to_all(self_, packet);
     if (tracer_) {
       // Per-wire send events keep each update's causal chain (and so its
       // flood fan-out) unchanged; the batch event on top carries the
       // coalescing itself.
-      for (const std::uint64_t seq : seqs) {
-        tracer_->record(obs::EventType::kBroadcastSend, now, self_, 0, 0, seq,
-                        peers);
+      for (const Wire& w : std::any_cast<const Packet&>(packet).wires) {
+        tracer_->record(obs::EventType::kBroadcastSend, now, self_, 0, 0,
+                        w.origin_seq, peers);
       }
-      tracer_->record(obs::EventType::kBroadcastBatchSend, now, self_, 0, 0,
-                      wires, peers);
+      if (wires > 1) {
+        tracer_->record(obs::EventType::kBroadcastBatchSend, now, self_, 0, 0,
+                        wires, peers);
+      }
     }
   }
 
@@ -471,24 +406,18 @@ class ReliableBroadcast {
     const bool flush_held = held_.has_value();
     const auto& p = std::any_cast<const Packet&>(m.payload);
     switch (p.type) {
-      case PacketType::kWire:
-        ingest_wire(p.wire);
-        break;
-      case PacketType::kWireBatch:
-        for (const Wire& w : p.batch) ingest_wire(w);
-        break;
-      case PacketType::kDigest:
-        answer_digest(m.src, p.digest);
-        break;
-      case PacketType::kRepair:
-        for (const Wire& w : p.repairs) ingest_wire(w);
-        // A truncated batch means the sender holds more than the cap let
+      case PacketType::kWires:
+        for (const Wire& w : p.wires) ingest_wire(w);
+        // A truncated repair means the sender holds more than the cap let
         // through; re-digest immediately (with the just-advanced counts)
         // instead of waiting out the anti-entropy period.
         if (p.repair_truncated) {
           ++stats_.continuation_digests;
           send_digest_to(m.src);
         }
+        break;
+      case PacketType::kDigest:
+        answer_digest(m.src, p.digest);
         break;
       case PacketType::kAnnounce:
         if (announce_fn_) {
@@ -561,14 +490,10 @@ class ReliableBroadcast {
 
   /// Bounded ring of previously seen payloads, the corruption donor pool.
   void stash_payload(const Payload& payload) {
-    const std::size_t cap =
-        options_.byzantine.stash_capacity == 0
-            ? 1
-            : options_.byzantine.stash_capacity;
-    if (stash_.size() < cap) {
+    if (stash_.size() < kStashCapacity) {
       stash_.push_back(payload);
     } else {
-      stash_[stash_next_ % cap] = payload;
+      stash_[stash_next_ % kStashCapacity] = payload;
     }
     ++stash_next_;
   }
@@ -709,7 +634,6 @@ class ReliableBroadcast {
                      const std::vector<std::uint64_t>& have) {
     if (options_.prune_repair_store) note_peer_have(requester, have);
     Packet reply;
-    reply.type = PacketType::kRepair;
     const std::size_t cap = options_.max_repairs_per_message;
     for (sim::NodeId origin = 0;
          origin < store_.size() && !reply.repair_truncated; ++origin) {
@@ -720,20 +644,20 @@ class ReliableBroadcast {
       // invariant the requester already has those, so start at the base.)
       for (std::uint64_t seq = std::max(their, store_base_[origin]) + 1;
            seq <= contiguous_have_[origin]; ++seq) {
-        if (cap != 0 && reply.repairs.size() >= cap) {
+        if (cap != 0 && reply.wires.size() >= cap) {
           reply.repair_truncated = true;
           ++stats_.repairs_truncated;
           break;
         }
-        reply.repairs.push_back(store_[origin][seq - 1 - store_base_[origin]]);
+        reply.wires.push_back(store_[origin][seq - 1 - store_base_[origin]]);
       }
     }
-    if (reply.repairs.empty()) return;
-    stats_.anti_entropy_repairs += reply.repairs.size();
+    if (reply.wires.empty()) return;
+    stats_.anti_entropy_repairs += reply.wires.size();
     if (tracer_) {
       tracer_->record(obs::EventType::kAntiEntropyRepair,
                       exec_->now(), self_, 0, 0, requester,
-                      reply.repairs.size());
+                      reply.wires.size());
     }
     net_->send(self_, requester, std::any(std::move(reply)));
   }
@@ -792,9 +716,9 @@ class ReliableBroadcast {
   bool down_ = false;  ///< crashed: no gossip, no sends (see set_down)
 
   std::uint64_t own_seq_ = 0;
-  /// Group-commit staging (options_.max_batch > 0): origin seqs broadcast
-  /// during the current scheduler dispatch, awaiting the end-of-dispatch
-  /// flush. Volatile — a crash drops it (the records are in the outbox).
+  /// Group-commit staging: origin seqs broadcast but not yet flushed (when
+  /// batched, those of the current scheduler dispatch). Volatile — a crash
+  /// drops it (the records are in the outbox).
   std::vector<std::uint64_t> staged_floods_;
   bool flush_scheduled_ = false;
   /// Delivered-to-application counts per origin (vector clock).
@@ -835,6 +759,8 @@ class ReliableBroadcast {
   CorruptFn corrupt_fn_;
   sim::Rng byz_rng_{options_.byzantine.seed ^
                     (0x9E3779B97F4A7C15ull * (self_ + 1))};
+  /// Previously seen payloads retained as corruption donors.
+  static constexpr std::size_t kStashCapacity = 16;
   std::vector<Payload> stash_;   ///< Donor pool (bounded ring).
   std::size_t stash_next_ = 0;
   std::optional<Wire> held_;     ///< The one wire held back by a reorder.

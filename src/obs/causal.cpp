@@ -22,16 +22,6 @@ struct PairHash {
 
 }  // namespace
 
-std::string_view edge_kind_name(EdgeKind k) {
-  switch (k) {
-    case EdgeKind::kProgram:   return "program";
-    case EdgeKind::kMessage:   return "message";
-    case EdgeKind::kReplicate: return "replicate";
-    case EdgeKind::kMerge:     return "merge";
-  }
-  return "unknown";
-}
-
 std::string CausalIssues::summary() const {
   const auto line = [](std::ostringstream& os, const char* what,
                        const std::vector<std::size_t>& v) {

@@ -48,8 +48,6 @@ enum class EdgeKind : std::uint8_t {
   kMerge,      ///< broadcast.deliver -> merge.* it triggered, by update ts.
 };
 
-std::string_view edge_kind_name(EdgeKind k);
-
 /// One happens-before edge between event indices of the source stream.
 struct CausalEdge {
   std::size_t from = 0;

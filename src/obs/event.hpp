@@ -67,8 +67,8 @@ enum class EventType : std::uint8_t {
   kByzantineReorder,     ///< Wire held back until the next packet.
   // net/broadcast batched floods (appended: existing raw values are part of
   // serialized traces). Recorded once per COALESCED flush — a flush of one
-  // wire takes the legacy kBroadcastSend path only, so unbatched-shaped
-  // traffic under a batched config stays byte-identical to the legacy mode.
+  // wire records kBroadcastSend only, so unbatched-shaped traffic under a
+  // batched config stays byte-identical to max_batch == 0.
   kBroadcastBatchSend,   ///< a = wires coalesced, b = peers sent to.
 };
 

@@ -51,7 +51,6 @@ struct RealtimeConfig {
   /// pick intervals a few times the bus delay.
   net::BroadcastOptions broadcast;
   ThreadedConfig bus;
-  std::size_t checkpoint_interval = 32;
   /// Per-node trace ring capacity. The fate validator needs the complete
   /// stream, so size this above the expected event count.
   std::size_t ring_capacity = 1 << 16;
@@ -68,12 +67,7 @@ class RealtimeCluster {
 
   explicit RealtimeCluster(RealtimeConfig config)
       : config_(std::move(config)),
-        backend_([&] {
-          ThreadedConfig bus = config_.bus;
-          bus.num_nodes = config_.num_nodes;
-          bus.seed = config_.seed;
-          return bus;
-        }()),
+        backend_(config_.num_nodes, config_.seed, config_.bus),
         tracer_(config_.num_nodes, config_.ring_capacity) {
     // One writer per shard: dispatch fires on the executing worker, fates
     // on the event's program-order side (the Hooks threading contract).
@@ -85,7 +79,7 @@ class RealtimeCluster {
       nodes_.push_back(std::make_unique<NodeT>(
           static_cast<core::NodeId>(i), backend_.executor(i),
           backend_.transport(), config_.num_nodes, config_.broadcast,
-          config_.checkpoint_interval, master.fork_seed(),
+          /*checkpoint_interval=*/32, master.fork_seed(),
           /*enable_compaction=*/false, &tracer_.shard(i)));
     }
     backend_.start();

@@ -29,15 +29,16 @@ void WorkerExecutor::defer(Action action) {
 
 // --- ThreadedBackend -------------------------------------------------------
 
-ThreadedBackend::ThreadedBackend(ThreadedConfig config)
+ThreadedBackend::ThreadedBackend(std::size_t num_nodes, std::uint64_t seed,
+                                 ThreadedConfig config)
     : config_(config), epoch_(std::chrono::steady_clock::now()) {
-  if (config_.num_nodes == 0) throw std::invalid_argument("no nodes");
+  if (num_nodes == 0) throw std::invalid_argument("no nodes");
   if (config_.max_delay < config_.min_delay) {
     throw std::invalid_argument("max_delay < min_delay");
   }
-  handlers_.resize(config_.num_nodes);
-  sim::Rng master(config_.seed);
-  for (std::size_t i = 0; i < config_.num_nodes; ++i) {
+  handlers_.resize(num_nodes);
+  sim::Rng master(seed);
+  for (std::size_t i = 0; i < num_nodes; ++i) {
     workers_.push_back(std::make_unique<Worker>());
     executors_.push_back(std::make_unique<WorkerExecutor>(*this, i));
     down_.push_back(std::make_unique<std::atomic<bool>>(false));

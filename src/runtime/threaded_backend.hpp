@@ -47,10 +47,10 @@
 
 namespace runtime {
 
+/// Bus fault injection. The node count and the master seed of the
+/// per-source delay/drop RNG streams are ThreadedBackend constructor
+/// arguments.
 struct ThreadedConfig {
-  std::size_t num_nodes = 3;
-  /// Master seed for the per-source delay/drop RNG streams.
-  std::uint64_t seed = 1;
   /// Uniform per-message bus delay bounds, in (real) seconds.
   double min_delay = 0.0002;
   double max_delay = 0.002;
@@ -83,7 +83,8 @@ class WorkerExecutor final : public Executor {
 /// sends happen inside tasks) or from the main thread before start().
 class ThreadedBackend final : public Transport {
  public:
-  explicit ThreadedBackend(ThreadedConfig config);
+  ThreadedBackend(std::size_t num_nodes, std::uint64_t seed,
+                  ThreadedConfig config = {});
   ~ThreadedBackend() override;
 
   ThreadedBackend(const ThreadedBackend&) = delete;

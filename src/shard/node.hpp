@@ -69,14 +69,10 @@ class Node {
   using State = typename App::State;
   using Update = typename App::Update;
   using Request = typename App::Request;
-
-  /// The update envelope that travels through the broadcast layer.
-  struct Envelope {
-    core::Timestamp ts;
-    Update update;
-  };
-
   using Record = TxRecord<App>;
+  /// The broadcast payload is the log entry itself: (timestamp, update).
+  using Entry = typename UpdateLog<App>::Entry;
+  using Broadcast = net::ReliableBroadcast<Entry>;
 
   /// The node runs against the redesigned execution API — an Executor for
   /// its clock/timers and a Transport for the broadcast layer's datagrams —
@@ -96,18 +92,19 @@ class Node {
         exec_(&executor),
         broadcast_(executor, transport, id, cluster_size, broadcast_options,
                    seed,
-                   [this](const typename net::ReliableBroadcast<Envelope>::Wire&
-                              wire) { on_deliver(wire); }) {
+                   [this](const typename Broadcast::Wire& wire) {
+                     on_deliver(wire);
+                   }) {
     log_.set_tracer(tracer_, id_, [this] { return exec_->now(); });
     broadcast_.set_tracer(tracer_);
     if (broadcast_options.byzantine.enabled) {
       // Timestamp-preserving corruption: substitute only the update field,
-      // so the tampered envelope still merges at its legitimate position
+      // so the tampered entry still merges at its legitimate position
       // (a forged timestamp would trip UpdateLog's uniqueness invariant
       // rather than model a plausibly-wrong replica). A draw whose donor
       // equals the original changed nothing — report it unapplied so the
       // sensitivity tests can count it as provably masked.
-      broadcast_.set_corrupt_hook([](Envelope& target, const Envelope& donor) {
+      broadcast_.set_corrupt_hook([](Entry& target, const Entry& donor) {
         if (donor.update == target.update) return false;
         target.update = donor.update;
         return true;
@@ -148,19 +145,7 @@ class Node {
     // invariant), so the prefix really is a subsequence of the predecessors.
     rec.ts = clock_.tick();
     rec.decided_time = now;
-    originated_.push_back(rec);
-    if (tracer_) {
-      tracer_->record(obs::EventType::kBroadcastOriginate, now, id_,
-                      rec.ts.logical, rec.ts.node, broadcast_.own_issued() + 1);
-    }
-    // Streaming checkers learn the TRUE record before the broadcast can
-    // deliver (and possibly corrupt) it anywhere — including locally.
-    if (stream_obs_) {
-      stream_obs_->on_originate(originated_.back(),
-                                broadcast_.own_issued() + 1, now);
-    }
-    // Broadcast (delivers locally first, merging into our own log).
-    broadcast_.broadcast(Envelope{rec.ts, originated_.back().update});
+    originate(std::move(rec), now);
     return originated_.back();
   }
 
@@ -252,7 +237,7 @@ class Node {
   ///    origin's seqs appear in the merged log in increasing timestamp
   ///    order, so the surviving prefix induces contiguous per-origin
   ///    delivered counts — exactly the rewound vector handed to
-  ///    ReliableBroadcast::restart_stale. Requires causal broadcast (the
+  ///    ReliableBroadcast::rewind. Requires causal broadcast (the
   ///    Cluster validates); the truncated tail re-merges through outbox
   ///    replay and anti-entropy, exercising deep undo/redo.
   ///
@@ -275,36 +260,32 @@ class Node {
     restart_time_ = now;
     catch_up_target_ = catch_up_target;
     catching_up_ = true;
-    if (mode == sim::RecoveryMode::kAmnesia) {
-      log_.reset_to_initial();
-      for (auto& a : peer_announcements_) a = Announcement{};
-      // Observer mirrors the wipe BEFORE restart_amnesia: the outbox
-      // replay below re-delivers through on_deliver, which must land in an
-      // already-reset shadow.
-      if (stream_obs_) stream_obs_->on_restart(id_, mode, 0, now);
-      // Clears volatile broadcast state, then replays the stable outbox
-      // (re-merging our own updates into the fresh log via on_deliver).
-      broadcast_.restart_amnesia();
-    } else if (mode == sim::RecoveryMode::kStaleDisk) {
-      // Rewind to the stale checkpoint: keep the oldest keep_fraction of
-      // the retained entries and derive the matching per-origin delivered
-      // counts by walking the dropped suffix. Peer promises are monotone
-      // facts about peers and survive; the broadcast rewind re-announces
-      // our own truncated updates from the stable outbox.
-      const std::size_t keep_n = static_cast<std::size_t>(
-          keep_fraction * static_cast<double>(log_.size()));
-      std::vector<std::uint64_t> keep = broadcast_.delivered_vector();
-      for (std::size_t i = keep_n; i < log_.size(); ++i) {
-        --keep[log_.ts_at(i).node];
-      }
-      log_.truncate_suffix(keep_n);
-      // Same ordering constraint as amnesia: shadow rewind precedes the
-      // broadcast rewind's outbox replay.
-      if (stream_obs_) stream_obs_->on_restart(id_, mode, keep_n, now);
-      broadcast_.restart_stale(keep);
-    } else {
+    if (mode == sim::RecoveryMode::kDurable) {
       if (stream_obs_) stream_obs_->on_restart(id_, mode, log_.size(), now);
       broadcast_.set_down(false);
+    } else {
+      // Amnesia keeps nothing and drops peer promises. A stale disk keeps
+      // the oldest keep_fraction of the retained entries, with per-origin
+      // delivered counts derived by walking the dropped suffix; peer
+      // promises are monotone facts about peers and survive.
+      std::size_t keep_n = 0;
+      std::vector<std::uint64_t> keep(peer_announcements_.size(), 0);
+      if (mode == sim::RecoveryMode::kAmnesia) {
+        log_.reset_to_initial();
+        for (auto& a : peer_announcements_) a = Announcement{};
+      } else {
+        keep_n = static_cast<std::size_t>(keep_fraction *
+                                          static_cast<double>(log_.size()));
+        keep = broadcast_.delivered_vector();
+        for (std::size_t i = keep_n; i < log_.size(); ++i) {
+          --keep[log_.ts_at(i).node];
+        }
+        log_.truncate_suffix(keep_n);
+      }
+      // The observer rewinds its shadow BEFORE the broadcast rewind, whose
+      // outbox replay re-merges our own updates through on_deliver.
+      if (stream_obs_) stream_obs_->on_restart(id_, mode, keep_n, now);
+      broadcast_.rewind(mode, keep);
     }
     check_caught_up(now);
   }
@@ -318,7 +299,7 @@ class Node {
   /// write-ahead intention-log boundary; sim::MidBroadcastCrash). The hook
   /// receives the origin seq and returns true iff it crashed the node.
   void set_mid_broadcast_crash_hook(
-      typename net::ReliableBroadcast<Envelope>::MidBroadcastCrashFn hook) {
+      typename Broadcast::MidBroadcastCrashFn hook) {
     broadcast_.set_mid_broadcast_crash_hook(std::move(hook));
   }
 
@@ -370,11 +351,11 @@ class Node {
     bool seen = false;
   };
 
-  void on_deliver(const typename net::ReliableBroadcast<Envelope>::Wire& wire) {
+  void on_deliver(const typename Broadcast::Wire& wire) {
     // Fold the remote timestamp into our clock BEFORE any future local
     // transaction, preserving "local timestamps exceed all merged ones".
     clock_.observe(wire.payload.ts);
-    log_.insert({wire.payload.ts, wire.payload.update});
+    log_.insert(wire.payload);
     // The observer re-merges the TRUE update (looked up by origin seq from
     // its own ledger — the wire payload may have been corrupted en route)
     // and compares our post-merge state against its clean shadow.
@@ -502,16 +483,23 @@ class Node {
     rec.external_actions = std::move(decision.external_actions);
     rec.serializable = true;
     rec.decided_time = now;
-    originated_.push_back(rec);
+    originate(std::move(rec), now);
+  }
+
+  /// The origination tail both protocols share: retain the record, then
+  /// broadcast its update (which delivers locally first, merging it into
+  /// our own log). The tracer and streaming checkers learn the TRUE record
+  /// before the broadcast can deliver (and possibly corrupt) it anywhere —
+  /// including locally.
+  void originate(Record rec, sim::Time now) {
+    const Record& r = originated_.emplace_back(std::move(rec));
+    const std::uint64_t origin_seq = broadcast_.own_issued() + 1;
     if (tracer_) {
       tracer_->record(obs::EventType::kBroadcastOriginate, now, id_,
-                      rec.ts.logical, rec.ts.node, broadcast_.own_issued() + 1);
+                      r.ts.logical, r.ts.node, origin_seq);
     }
-    if (stream_obs_) {
-      stream_obs_->on_originate(originated_.back(),
-                                broadcast_.own_issued() + 1, now);
-    }
-    broadcast_.broadcast(Envelope{rec.ts, originated_.back().update});
+    if (stream_obs_) stream_obs_->on_originate(r, origin_seq, now);
+    broadcast_.broadcast({r.ts, r.update});
   }
 
   core::NodeId id_;
@@ -531,7 +519,7 @@ class Node {
   obs::Tracer* tracer_ = nullptr;  ///< optional execution tracing
   StreamObserver<App>* stream_obs_ = nullptr;  ///< optional online checking
   runtime::Executor* exec_;
-  net::ReliableBroadcast<Envelope> broadcast_;
+  Broadcast broadcast_;
 };
 
 /// Online observation interface for the node's transaction pipeline — the

@@ -126,7 +126,6 @@ class PartialCluster {
     std::size_t replication_factor = 2;
     sim::Network::Config network;
     sim::Time anti_entropy_interval = 0.5;
-    std::size_t checkpoint_interval = 32;
     std::uint64_t seed = 1;
   };
 
@@ -175,8 +174,7 @@ class PartialCluster {
       const std::size_t r = replicas_[g].size();
       for (core::NodeId rank = 0; rank < r; ++rank) {
         NodeState& node = *nodes_[replicas_[g][rank]];
-        Replica& rep = node.groups.try_emplace(g, config_.checkpoint_interval)
-                           .first->second;
+        Replica& rep = node.groups[g];
         rep.endpoint = std::make_unique<Broadcast>(
             scheduler_, *networks_.back(), rank, r, options, rng_.fork_seed(),
             [&node, &log = rep.log](const typename Broadcast::Wire& w) {
@@ -361,8 +359,7 @@ class PartialCluster {
 
   /// One hosted group at one node: its log and its broadcast endpoint.
   struct Replica {
-    explicit Replica(std::size_t checkpoint_interval)
-        : log(checkpoint_interval) {}
+    Replica() = default;
     Replica(const Replica&) = delete;  // the endpoint's callback holds &log
     Replica& operator=(const Replica&) = delete;
     GroupLog log;

@@ -88,8 +88,6 @@ struct ByzantineOptions {
   Time start = 0.0;
   Time end = 1e18;  ///< Effectively "forever" by default.
   std::uint64_t seed = 0;
-  /// Previously seen payloads retained per node as corruption donors.
-  std::size_t stash_capacity = 16;
 };
 
 /// Knobs for FaultPlan::chaos (seeded whole-plan generation).

@@ -59,11 +59,6 @@ class Rng {
     return std::bernoulli_distribution(p)(engine_);
   }
 
-  /// Poisson draw with the given mean.
-  std::int64_t poisson(double mean) {
-    return std::poisson_distribution<std::int64_t>(mean)(engine_);
-  }
-
   /// Raw 64-bit draw; used to derive independent child seeds.
   std::uint64_t next_u64() { return engine_(); }
 

@@ -136,8 +136,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, BatchingCrashChaosTier,
 // Coalescing and group commit under genuine bursts
 // ---------------------------------------------------------------------------
 
-shard::Cluster<Air> make_burst_cluster(std::size_t max_batch) {
+shard::Cluster<Air> make_burst_cluster(std::size_t max_batch,
+                                       bool traced = false) {
   harness::Scenario sc = harness::wan(4);
+  sc.trace.enabled = traced;
   shard::ClusterConfig cfg = sc.cluster_config<Air>(0xb0b);
   cfg.broadcast.max_batch = max_batch;
   return shard::Cluster<Air>(cfg);
@@ -164,10 +166,23 @@ void drive_bursts(Cluster& cluster, std::size_t bursts, std::size_t burst) {
 
 TEST(Batching, BurstsCoalesceAndReducePackets) {
   const std::size_t bursts = 10, burst = 12;
-  auto batched = make_burst_cluster(8);
+  auto batched = make_burst_cluster(8, /*traced=*/true);
+  obs::VectorSink batched_trace;
+  batched.tracer()->add_sink(&batched_trace);
   drive_bursts(batched, bursts, burst);
-  auto unbatched = make_burst_cluster(0);
+  auto unbatched = make_burst_cluster(0, /*traced=*/true);
+  obs::VectorSink unbatched_trace;
+  unbatched.tracer()->add_sink(&unbatched_trace);
   drive_bursts(unbatched, bursts, burst);
+
+  // Golden streams (event count and obs::digest), recorded while unbatched
+  // broadcasts still had their own flood path and batches their own packet
+  // shape. The chaos tiers never form bursts, so this is the tier-1 pin on
+  // multi-wire floods.
+  EXPECT_EQ(unbatched_trace.events().size(), 3794u);
+  EXPECT_EQ(obs::digest(unbatched_trace.events()), 0x01bb16930fe75a28ull);
+  EXPECT_EQ(batched_trace.events().size(), 2764u);
+  EXPECT_EQ(obs::digest(batched_trace.events()), 0xe289e064fc1de147ull);
 
   std::uint64_t flood_batches = 0, batched_wires = 0;
   for (std::size_t n = 0; n < batched.num_nodes(); ++n) {

@@ -286,9 +286,7 @@ TEST(RuntimeHooks, CallerHooksSurviveStreamObserver) {
 // ---------------------------------------------------------------------------
 
 TEST(ThreadedBackend, TimersFireAndCancelWorks) {
-  runtime::ThreadedConfig tc;
-  tc.num_nodes = 1;
-  runtime::ThreadedBackend backend(tc);
+  runtime::ThreadedBackend backend(/*num_nodes=*/1, /*seed=*/1);
   backend.start();
   std::atomic<int> fired{0};
   runtime::Executor& ex = backend.executor(0);
@@ -302,9 +300,7 @@ TEST(ThreadedBackend, TimersFireAndCancelWorks) {
 }
 
 TEST(ThreadedBackend, BusKeepsTransportContract) {
-  runtime::ThreadedConfig tc;
-  tc.num_nodes = 2;
-  runtime::ThreadedBackend backend(tc);
+  runtime::ThreadedBackend backend(/*num_nodes=*/2, /*seed=*/1);
   std::vector<std::tuple<runtime::NodeId, runtime::NodeId, std::uint64_t,
                          runtime::MessageFate>>
       fates;
@@ -343,9 +339,7 @@ TEST(ThreadedBackend, BusKeepsTransportContract) {
 }
 
 TEST(ThreadedBackend, DeferRunsAfterCurrentTaskOnOwnWorker) {
-  runtime::ThreadedConfig tc;
-  tc.num_nodes = 1;
-  runtime::ThreadedBackend backend(tc);
+  runtime::ThreadedBackend backend(/*num_nodes=*/1, /*seed=*/1);
   backend.start();
   std::vector<int> order;
   std::atomic<bool> done{false};
