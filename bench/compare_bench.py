@@ -44,10 +44,11 @@ The gate is designed to be machine-independent:
 * e25 (open-loop saturation harness): the simulated side is deterministic —
   convergence, cross-row replica-state agreement, pass-to-pass repetition
   ("counters_repeat"), and the packet / batch / outbox-sync counters are
-  gated per row. The soa-batched row's replay ratio — applies made over
-  the paper's literal undo/redo count, redone_updates / (undone_updates +
-  mid_inserts + tail_appends) — is a pure function of the schedule and
-  must stay at or below 1.6; missing or zero counters fail it. Wall-clock
+  gated per row. The replay ratio — applies made over the paper's literal
+  undo/redo count, redone_updates / (undone_updates + mid_inserts +
+  tail_appends) — is a pure function of the schedule and must stay at or
+  below 1.6 on the soa-batched row and on the standalone merge replay;
+  missing or zero counters fail it. Wall-clock
   throughput is machine noise and only reported, EXCEPT the within-run
   speedup of the batched row over the unbatched ablation (same binary,
   same machine, each row's median pass — a ratio like e10's), which must
@@ -476,6 +477,22 @@ def e25_replay_ratio(counters):
     return redone / literal
 
 
+def gate_replay_ratio(label, counters):
+    """Fail when `counters`' replay ratio is missing, zero or above the
+    ceiling."""
+    ratio = e25_replay_ratio(counters)
+    ceiling = E25_REPLAY_RATIO_CEILING
+    key = f"{label} replay_ratio"
+    if ratio is None:
+        return fail(f"{key}: engine redo/undo counters missing or zero",
+                    key=key, current=None, allowed=f"<= {ceiling:.2f}")
+    if ratio > ceiling:
+        return fail(f"{key} {ratio:.3f} > ceiling {ceiling:.2f}", key=key,
+                    current=ratio, allowed=f"<= {ceiling:.2f}")
+    print(f"ok: {key} {ratio:.3f} (ceiling {ceiling:.2f})")
+    return 0
+
+
 def compare_e25(base, cur, tol):
     rc = gate_flags(cur, ("rows_agree",), text={
         "rows_agree": "rows_agree is false (replica states diverged across "
@@ -494,30 +511,21 @@ def compare_e25(base, cur, tol):
                    allowed=f">= {floor:.2f}")
     else:
         print(f"ok: {E25_SPEEDUP_KEY} {speedup:.3f} (floor {floor:.2f})")
+    # The standalone merge replay's work, under the same ceiling.
+    rc |= gate_replay_ratio("merge_replay",
+                            cur.get("merge_replay", {}).get("counters", {}))
     base_rows = {r["mode"]: r for r in base["rows"]}
     for row in cur["rows"]:
         mode = row["mode"]
         rc |= gate_flags(row, ("converged", "decisions_ok", "counters_repeat"),
                          f"mode={mode} ")
         counters = row["metrics"]["counters"]
-        ratio = e25_replay_ratio(counters)
-        ceiling = E25_REPLAY_RATIO_CEILING
-        if mode != E25_REPLAY_ROW:
+        if mode == E25_REPLAY_ROW:
+            rc |= gate_replay_ratio(f"mode={mode}", counters)
+        else:
+            ratio = e25_replay_ratio(counters)
             shown = "n/a" if ratio is None else f"{ratio:.3f}"
             print(f"info: mode={mode} replay_ratio {shown} (not gated)")
-        elif ratio is None:
-            rc |= fail(f"mode={mode} replay_ratio: engine redo/undo "
-                       f"counters missing or zero",
-                       key=f"mode={mode} replay_ratio", current=None,
-                       allowed=f"<= {ceiling:.2f}")
-        elif ratio > ceiling:
-            rc |= fail(f"mode={mode} replay_ratio {ratio:.3f} > ceiling "
-                       f"{ceiling:.2f}",
-                       key=f"mode={mode} replay_ratio", current=ratio,
-                       allowed=f"<= {ceiling:.2f}")
-        else:
-            print(f"ok: mode={mode} replay_ratio {ratio:.3f} "
-                  f"(ceiling {ceiling:.2f})")
         br = base_rows.get(mode)
         if br is None:
             print(f"note: mode={mode} has no baseline row; skipping")
@@ -698,6 +706,10 @@ def _selftest_e25_doc():
                                          "engine.tail_appends": 50},
                             "gauges": {}}}
     return {"rows_agree": True, "speedup_vs_unbatched": 2.0,
+            "merge_replay": {"counters": {"engine.redone_updates": 400,
+                                          "engine.undone_updates": 5000,
+                                          "engine.mid_inserts": 15000,
+                                          "engine.tail_appends": 5000}},
             "rows": [row("soa-batched", 8, 100.0),
                      row("soa-unbatched", 0, 50.0)]}
 
@@ -764,6 +776,14 @@ def selftest():
                  "engine.tail_appends"):
         bad["rows"][0]["metrics"]["counters"][name] = 0
     check("e25 replay ratio fails on a zero literal count",
+          compare_e25(doc, bad, 0.15) != 0)
+    bad = copy.deepcopy(doc)
+    bad["merge_replay"]["counters"]["engine.redone_updates"] = 96000
+    check("e25 enforces the merge-replay ratio ceiling",
+          compare_e25(doc, bad, 0.15) != 0)
+    bad = copy.deepcopy(doc)
+    del bad["merge_replay"]["counters"]
+    check("e25 merge-replay ratio fails on missing counters",
           compare_e25(doc, bad, 0.15) != 0)
     bad = copy.deepcopy(doc)
     bad["rows"][1]["metrics"]["counters"]["net.sent"] = 50000

@@ -48,7 +48,12 @@ struct DecisionResult {
 /// The state-machine core of an application: what the replication engine
 /// (UpdateLog) and the execution model need. `Application` below refines
 /// this with decisions and costs; the partial-replication extension uses
-/// per-group state machines that satisfy only this part.
+/// per-group state machines that satisfy only this part. `apply` must
+/// depend only on (update, state), and State equality must be exact: equal
+/// states stay equal under every `apply`. The merge engine relies on it —
+/// an out-of-order update that leaves the state where it lands equal to
+/// what it was cannot change any later state, so nothing above it is
+/// replayed.
 template <class A>
 concept Replicable = requires(const typename A::State& s,
                               typename A::State& mutable_state,
@@ -72,7 +77,9 @@ concept Replicable = requires(const typename A::State& s,
 ///  - `decide` must not mutate anything (decisions read, never write);
 ///  - `cost(s, i)` must be nonnegative, zero iff constraint i holds in s;
 ///  - State must be a regular type; equality is used by the convergence
-///    checks (mutual consistency) and the analysis passes.
+///    checks (mutual consistency) and the analysis passes, and must be
+///    exact: equal states stay equal under every `apply` (the merge engine
+///    skips the replay above an update that leaves the state unchanged).
 template <class A>
 concept Application = requires(const typename A::State& s,
                                typename A::State& mutable_state,

@@ -51,8 +51,13 @@ enum class EventType : std::uint8_t {
   kMergeTailAppend,      ///< In-order arrival applied at the tail.
   kMergeMidInsert,       ///< Out-of-order arrival; a = entries displaced.
   kMergeUndo,            ///< a = updates undone by a mid-insert.
-  kMergeRedo,            ///< a = updates re-applied during recompute.
-  kCheckpointTake,       ///< a = checkpoint index.
+  kMergeRedo,            ///< a = literal redo count of a mid-insert: the
+                         ///< newcomer plus the entries above it, whether or
+                         ///< not the engine re-applied them.
+  kCheckpointTake,       ///< Tail-append snapshot only; a = checkpoint
+                         ///< index. Snapshots re-taken by a mid-insert's
+                         ///< replay count in EngineStats::checkpoints_taken
+                         ///< but record no event.
   kCheckpointInvalidate, ///< a = checkpoints dropped.
   // shard/node + sim/crash — fault injection.
   kCrash,                ///< Node went down.

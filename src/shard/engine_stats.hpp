@@ -19,10 +19,13 @@ struct EngineStats {
   std::uint64_t mid_inserts = 0;     ///< Updates merged out of order.
   std::uint64_t undone_updates = 0;  ///< Updates rolled back by mid-inserts.
   /// Applies the engine actually made: one per tail append plus every
-  /// update replayed from a checkpoint after a mid-insert. Exceeds the
-  /// literal undo/redo count (undone_updates + mid_inserts + tail_appends)
-  /// by the replay below each insertion point.
+  /// update replayed from a checkpoint after a mid-insert. Not the literal
+  /// undo/redo count (undone_updates + mid_inserts + tail_appends): a
+  /// replay adds the entries between its checkpoint and the insertion
+  /// point, and skips every entry above a newcomer that changed nothing
+  /// where it landed, so it can fall either side of the literal count.
   std::uint64_t redone_updates = 0;
+  /// Snapshots taken, at the tail and along mid-insert replays.
   std::uint64_t checkpoints_taken = 0;
   std::uint64_t checkpoints_invalidated = 0;
   std::uint64_t checkpoints_thinned = 0;  ///< Snapshots dropped to keep the

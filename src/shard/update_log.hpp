@@ -22,14 +22,19 @@
 // supply inverses; instead — like the optimizations of [BK]/[SKS], which
 // keep history/checkpoint information to avoid recomputation — we keep
 // periodic state checkpoints and replay forward from the nearest checkpoint
-// at or before the insertion point. The observable result and the undo
-// count (`undone_updates`, what the thrashing analysis consumes) are
-// identical to the literal strategy. `redone_updates` is not: it counts the
-// applies the engine actually made, and a replay starts at a checkpoint
-// at or below the insertion point, so it exceeds the literal redo count
-// (undone_updates + mid_inserts + tail_appends). With max_checkpoints set,
-// the retention rule in thin_checkpoints() keeps each replay within a small
-// factor of the displacement (DESIGN.md §9).
+// at or before the insertion point. The replay stops at the newcomer if
+// the newcomer leaves the state where it lands unchanged: apply depends
+// only on (update, state) and State equality is exact (core/model.hpp), so
+// every later state is unchanged too — such an update commutes with
+// everything above it. The observable result, the undo count
+// (`undone_updates`, what the thrashing analysis consumes) and the merge.*
+// trace events are identical to the literal strategy. `redone_updates` is
+// not: it counts the applies the engine actually made — the replay from
+// the checkpoint up to the newcomer, and the entries above it only when
+// the newcomer changed the state — so it can fall on either side of the
+// literal redo count (undone_updates + mid_inserts + tail_appends). With
+// max_checkpoints set, the retention rule in thin_checkpoints() keeps each
+// replay within a small factor of the displacement (DESIGN.md §9).
 //
 // Storage layout (constant factors; DESIGN.md §9): every insert binary-
 // searches the timestamp order and a mid-insert shifts the tail, so the
@@ -48,6 +53,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <utility>
 #include <vector>
 
@@ -164,7 +170,9 @@ class UpdateLog {
       : checkpoint_interval_(checkpoint_interval),
         max_checkpoints_(max_checkpoints),
         base_(App::initial()),
-        state_(base_) {
+        state_(base_),
+        below_(base_),
+        landed_(base_) {
     // Checkpoint 0 is always the base state.
     checkpoints_.push_back(Checkpoint{0, base_});
   }
@@ -200,8 +208,7 @@ class UpdateLog {
     trace(obs::EventType::kMergeMidInsert, ts, displaced);
     trace(obs::EventType::kMergeUndo, ts, displaced);
     store_.insert(pos, ts, std::move(entry.update));
-    invalidate_checkpoints_after(pos);
-    recompute_from_checkpoint();
+    merge_mid_insert(pos);
     trace(obs::EventType::kMergeRedo, ts, store_.size() - pos);
     return pos;
   }
@@ -400,21 +407,61 @@ class UpdateLog {
     }
   }
 
-  /// Rebuild state_ by replaying from the newest surviving snapshot (at or
-  /// below the insertion point after invalidation); also re-takes
-  /// checkpoints passed on the way.
-  void recompute_from_checkpoint() {
-    const std::size_t start = checkpoints_.back().pos;
-    state_ = checkpoints_.back().state;
-    std::size_t last_cp = start;
-    for (std::size_t i = start; i < store_.size(); ++i) {
-      App::apply(store_.update_at(i), state_);
+  /// Restore the fold after the entry at `pos` landed below the tail.
+  /// Replays from the newest snapshot at or below pos up to the newcomer
+  /// and applies the newcomer to a copy of the state it lands on. If the
+  /// copy is unchanged, the newcomer is a no-op there; since apply depends
+  /// only on (update, state), every later state is unchanged too, so state_
+  /// stands and the snapshots above pos only shift by one. Otherwise those
+  /// snapshots are stale: they go, the replay carries on from the newcomer
+  /// to the tail, and its re-takes join one at a time, each thinned in
+  /// turn. Snapshots are re-taken every interval along the replay either
+  /// way — without the re-takes below pos, a run of no-op inserts would
+  /// widen the gaps between snapshots without bound.
+  void merge_mid_insert(std::size_t pos) {
+    std::size_t j = checkpoints_.size() - 1;
+    while (checkpoints_[j].pos > pos) --j;
+    std::size_t last_cp = checkpoints_[j].pos;
+    fresh_.clear();
+    below_ = checkpoints_[j].state;
+    replay(below_, last_cp, pos, last_cp,
+           [this](Checkpoint&& cp) { fresh_.push_back(std::move(cp)); });
+    landed_ = below_;
+    App::apply(store_.update_at(pos), landed_);
+    ++stats_.redone_updates;
+    if (landed_ == below_) {
+      for (std::size_t k = j + 1; k < checkpoints_.size(); ++k) {
+        ++checkpoints_[k].pos;
+      }
+      checkpoints_.insert(
+          checkpoints_.begin() + static_cast<std::ptrdiff_t>(j + 1),
+          std::make_move_iterator(fresh_.begin()),
+          std::make_move_iterator(fresh_.end()));
+      thin_checkpoints();
+      return;
+    }
+    invalidate_checkpoints_after(pos);
+    const auto keep = [this](Checkpoint&& cp) {
+      checkpoints_.push_back(std::move(cp));
+      thin_checkpoints();
+    };
+    for (Checkpoint& cp : fresh_) keep(std::move(cp));
+    std::swap(state_, landed_);
+    replay(state_, pos + 1, store_.size(), last_cp, keep);
+  }
+
+  /// Apply entries [from, to) to `s`, handing a snapshot to `take` each
+  /// time the replay gets an interval past `last_cp`.
+  template <class Take>
+  void replay(State& s, std::size_t from, std::size_t to,
+              std::size_t& last_cp, Take&& take) {
+    for (std::size_t i = from; i < to; ++i) {
+      App::apply(store_.update_at(i), s);
       ++stats_.redone_updates;
       if (takes_checkpoints() && (i + 1) - last_cp >= checkpoint_interval_) {
-        checkpoints_.push_back(Checkpoint{i + 1, state_});
+        take(Checkpoint{i + 1, s});
         last_cp = i + 1;
         ++stats_.checkpoints_taken;
-        thin_checkpoints();
       }
     }
   }
@@ -464,6 +511,12 @@ class UpdateLog {
   detail::SoALogStore<Update> store_;
   std::vector<Checkpoint> checkpoints_;
   State state_;
+  // merge_mid_insert's scratch, kept between calls so copies into them
+  // reuse their buffers: the state below the newcomer, the state after it,
+  // and the snapshots re-taken on the walk up to the newcomer.
+  State below_;
+  State landed_;
+  std::vector<Checkpoint> fresh_;
   EngineStats stats_;
   // Optional execution tracing (obs/): off is one branch per merge.
   obs::Tracer* tracer_ = nullptr;

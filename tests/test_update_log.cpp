@@ -91,9 +91,12 @@ class UpdateLogEquivalence
     : public ::testing::TestWithParam<
           std::tuple<std::size_t, std::uint64_t, bool>> {};
 
-/// Final engine counters of one UpdateLogEquivalence case. Recorded when
-/// the log also had an array-of-structs store and both stores produced
-/// these counters, entry orders and states.
+/// Final engine counters of one UpdateLogEquivalence case. tail, mid,
+/// undone and folded were recorded when the log also had an array-of-
+/// structs store and both stores produced these counters, entry orders and
+/// states. redone, taken and retained were re-recorded when a mid-insert
+/// that changes nothing where it lands stopped replaying the entries above
+/// it; the other four did not move.
 struct EngineGolden {
   std::size_t interval;
   std::uint64_t seed;
@@ -103,36 +106,36 @@ struct EngineGolden {
 };
 
 constexpr EngineGolden kEngineGoldens[] = {
-    {0, 1, false, 3, 197, 9373, 19943, 0, 0, 1},
-    {0, 1, true, 3, 197, 9373, 19657, 0, 2, 1},
-    {0, 2, false, 6, 194, 9650, 19793, 0, 0, 1},
-    {0, 2, true, 6, 194, 9650, 19561, 0, 29, 1},
-    {0, 3, false, 4, 196, 9685, 19878, 0, 0, 1},
-    {0, 3, true, 4, 196, 9685, 19084, 0, 60, 1},
-    {1, 1, false, 3, 197, 9373, 9573, 9573, 0, 201},
-    {1, 1, true, 3, 197, 9373, 9573, 9573, 2, 199},
-    {1, 2, false, 6, 194, 9650, 9850, 9850, 0, 201},
-    {1, 2, true, 6, 194, 9650, 9850, 9850, 29, 172},
-    {1, 3, false, 4, 196, 9685, 9885, 9885, 0, 201},
-    {1, 3, true, 4, 196, 9685, 9885, 9885, 60, 141},
-    {4, 1, false, 3, 197, 9373, 9851, 2388, 0, 51},
-    {4, 1, true, 3, 197, 9373, 9851, 2388, 2, 50},
-    {4, 2, false, 6, 194, 9650, 10137, 2461, 0, 51},
-    {4, 2, true, 6, 194, 9650, 10136, 2460, 29, 43},
-    {4, 3, false, 4, 196, 9685, 10186, 2473, 0, 51},
-    {4, 3, true, 4, 196, 9685, 10180, 2472, 60, 36},
-    {32, 1, false, 3, 197, 9373, 12199, 288, 0, 7},
-    {32, 1, true, 3, 197, 9373, 12203, 288, 2, 7},
-    {32, 2, false, 6, 194, 9650, 12369, 295, 0, 7},
-    {32, 2, true, 6, 194, 9650, 12352, 294, 29, 6},
-    {32, 3, false, 4, 196, 9685, 12838, 308, 0, 7},
-    {32, 3, true, 4, 196, 9685, 12659, 300, 60, 5},
-    {1000, 1, false, 3, 197, 9373, 19943, 0, 0, 1},
-    {1000, 1, true, 3, 197, 9373, 19657, 0, 2, 1},
-    {1000, 2, false, 6, 194, 9650, 19793, 0, 0, 1},
-    {1000, 2, true, 6, 194, 9650, 19561, 0, 29, 1},
-    {1000, 3, false, 4, 196, 9685, 19878, 0, 0, 1},
-    {1000, 3, true, 4, 196, 9685, 19084, 0, 60, 1},
+    {0, 1, false, 3, 197, 9373, 13691, 0, 0, 1},
+    {0, 1, true, 3, 197, 9373, 13405, 0, 2, 1},
+    {0, 2, false, 6, 194, 9650, 13459, 0, 0, 1},
+    {0, 2, true, 6, 194, 9650, 13227, 0, 29, 1},
+    {0, 3, false, 4, 196, 9685, 13646, 0, 0, 1},
+    {0, 3, true, 4, 196, 9685, 12852, 0, 60, 1},
+    {1, 1, false, 3, 197, 9373, 3343, 3146, 0, 194},
+    {1, 1, true, 3, 197, 9373, 3341, 3144, 2, 192},
+    {1, 2, false, 6, 194, 9650, 3542, 3348, 0, 186},
+    {1, 2, true, 6, 194, 9650, 3542, 3348, 29, 163},
+    {1, 3, false, 4, 196, 9685, 3683, 3487, 0, 188},
+    {1, 3, true, 4, 196, 9685, 3683, 3487, 60, 139},
+    {4, 1, false, 3, 197, 9373, 3622, 799, 0, 50},
+    {4, 1, true, 3, 197, 9373, 3629, 804, 2, 49},
+    {4, 2, false, 6, 194, 9650, 3846, 857, 0, 49},
+    {4, 2, true, 6, 194, 9650, 3842, 856, 29, 42},
+    {4, 3, false, 4, 196, 9685, 3959, 885, 0, 49},
+    {4, 3, true, 4, 196, 9685, 3954, 885, 60, 36},
+    {32, 1, false, 3, 197, 9373, 6183, 97, 0, 7},
+    {32, 1, true, 3, 197, 9373, 6156, 99, 2, 7},
+    {32, 2, false, 6, 194, 9650, 6172, 104, 0, 7},
+    {32, 2, true, 6, 194, 9650, 6143, 104, 29, 7},
+    {32, 3, false, 4, 196, 9685, 6548, 111, 0, 7},
+    {32, 3, true, 4, 196, 9685, 6465, 110, 60, 6},
+    {1000, 1, false, 3, 197, 9373, 13691, 0, 0, 1},
+    {1000, 1, true, 3, 197, 9373, 13405, 0, 2, 1},
+    {1000, 2, false, 6, 194, 9650, 13459, 0, 0, 1},
+    {1000, 2, true, 6, 194, 9650, 13227, 0, 29, 1},
+    {1000, 3, false, 4, 196, 9685, 13646, 0, 0, 1},
+    {1000, 3, true, 4, 196, 9685, 12852, 0, 60, 1},
 };
 
 TEST_P(UpdateLogEquivalence, MatchesTimestampOrderFold) {
@@ -351,6 +354,166 @@ TEST(UpdateLog, CheckpointCountNeverExceedsTheBound) {
       EXPECT_GT(log.stats().checkpoints_thinned, 0u) << "max " << max;
     }
   }
+}
+
+TEST(UpdateLog, NoOpMidInsertSkipsTheReplayAboveIt) {
+  // Interval 4 over 40 appends: snapshots at 4, 8, ..., 40. Persons 1..3
+  // are requested at timestamps 2, 4 and 6, so a request of person 2
+  // landing at position 10 changes nothing there.
+  Log log(4);
+  for (std::size_t i = 0; i < 40; ++i) {
+    log.insert({Timestamp{2 * (i + 1), 0},
+                req(static_cast<apps::airline::Person>(i % 3 + 1))});
+  }
+  const auto before = log.state();
+  const auto redone = log.stats().redone_updates;
+  const auto retained = log.checkpoints_retained();
+  log.insert({Timestamp{21, 1}, req(2)});
+  // Replayed from the snapshot at 8 up to and including the newcomer; the
+  // 30 entries above it were not touched, and no snapshot went stale.
+  EXPECT_EQ(log.stats().redone_updates - redone, 3u);
+  EXPECT_EQ(log.stats().undone_updates, 30u);
+  EXPECT_EQ(log.stats().checkpoints_invalidated, 0u);
+  EXPECT_EQ(log.checkpoints_retained(), retained);
+  EXPECT_EQ(log.state(), before);
+  EXPECT_EQ(log.state(), log.recompute_naive());
+  for (std::size_t k = 0; k <= log.size(); ++k) {
+    SmallAirline::State expect = SmallAirline::initial();
+    for (std::size_t i = 0; i < k; ++i) {
+      SmallAirline::apply(log.update_at(i), expect);
+    }
+    const Timestamp cut = k < log.size() ? log.ts_at(k) : Timestamp{100, 0};
+    ASSERT_EQ(log.state_before(cut), expect) << "k = " << k;
+  }
+  // A cancel at the same depth does change the state: the snapshots above
+  // it go, and the replay runs on to the tail.
+  const auto redone2 = log.stats().redone_updates;
+  log.insert({Timestamp{23, 1}, cancel(1)});
+  EXPECT_GT(log.stats().checkpoints_invalidated, 0u);
+  EXPECT_EQ(log.stats().redone_updates - redone2, 42u - 8u);
+  EXPECT_EQ(log.state(), log.recompute_naive());
+}
+
+/// Arrivals for timestamps 1..n in which most updates change nothing where
+/// they land: persons 1..4 are requested first, after which half the
+/// updates re-request one of them and a quarter cancel persons nobody ever
+/// requests. The rest cancel, move up or move down one of persons 1..4.
+/// Arrival order is a sliding-window shuffle, so most merges are
+/// mid-inserts a few dozen entries deep.
+std::vector<Log::Entry> mostly_noop_arrivals(std::size_t n, std::size_t window,
+                                             std::uint64_t seed) {
+  sim::Rng rng(seed);
+  std::vector<Log::Entry> arrival;
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto known =
+        static_cast<apps::airline::Person>(rng.uniform_int(1, 4));
+    Update u;
+    if (i < 4) {
+      u = req(static_cast<apps::airline::Person>(i + 1));
+    } else if (rng.bernoulli(0.5)) {
+      u = req(known);
+    } else if (rng.bernoulli(0.5)) {
+      u = cancel(static_cast<apps::airline::Person>(rng.uniform_int(50, 60)));
+    } else {
+      switch (rng.uniform_int(0, 2)) {
+        case 0: u = cancel(known); break;
+        case 1: u = up(known); break;
+        default: u = down(known); break;
+      }
+    }
+    arrival.push_back({Timestamp{i + 1, 0}, u});
+  }
+  for (std::size_t i = n; i-- > 1;) {
+    const std::size_t lo = i > window ? i - window : 0;
+    const auto j = static_cast<std::size_t>(rng.uniform_int(
+        static_cast<std::int64_t>(lo), static_cast<std::int64_t>(i)));
+    std::swap(arrival[i], arrival[j]);
+  }
+  return arrival;
+}
+
+TEST(UpdateLog, NoOpHeavyArrivalsMatchTheFoldEverywhere) {
+  // Differential for the no-op skip, which keeps the state and shifts the
+  // snapshots above the insertion point instead of replaying. After every
+  // insert, compaction and truncation, the state must equal the timestamp-
+  // order fold, and state_before() at every retained position must equal
+  // the fold of the entries below it — which reads every retained
+  // snapshot, shifted ones included.
+  for (const std::size_t interval : {0u, 1u, 4u, 32u}) {
+    for (const std::size_t max : {0u, 1u, 2u, 8u}) {
+      SCOPED_TRACE(testing::Message()
+                   << "interval " << interval << " max " << max);
+      std::vector<Log::Entry> arrival =
+          mostly_noop_arrivals(200, 24, 10 * interval + max + 1);
+      Log log(interval, max);
+      std::map<Timestamp, Update> inserted;
+      for (std::size_t i = 0; i < arrival.size(); ++i) {
+        log.insert(arrival[i]);
+        inserted.emplace(arrival[i].ts, arrival[i].update);
+        if (i % 16 == 15) {
+          // Every timestamp below the first missing one has arrived, so
+          // nothing can land under that cut afterwards.
+          std::uint64_t frontier = 1;
+          while (inserted.count(Timestamp{frontier, 0}) != 0) ++frontier;
+          log.compact_before(Timestamp{frontier, 0});
+        }
+        if (i % 40 == 39 && log.size() > 8) {
+          // Stale-disk truncation: the lost suffix re-arrives later.
+          const std::size_t keep = log.size() - 8;
+          for (std::size_t k = keep; k < log.size(); ++k) {
+            arrival.push_back({log.ts_at(k), log.update_at(k)});
+            inserted.erase(log.ts_at(k));
+          }
+          log.truncate_suffix(keep);
+        }
+        SmallAirline::State fold = SmallAirline::initial();
+        std::size_t k = 0;
+        for (const auto& [ts, u] : inserted) {
+          if (!(ts < log.base_cut())) {
+            ASSERT_EQ(log.ts_at(k), ts) << "after step " << i;
+            ASSERT_EQ(log.state_before(ts), fold)
+                << "position " << k << " after step " << i;
+            ++k;
+          }
+          SmallAirline::apply(u, fold);
+        }
+        ASSERT_EQ(k, log.size()) << "after step " << i;
+        ASSERT_EQ(log.state(), fold) << "after step " << i;
+        if (max != 0) {
+          ASSERT_LE(log.checkpoints_retained(), max) << "after step " << i;
+        }
+      }
+      EXPECT_EQ(inserted.size(), 200u);
+    }
+  }
+}
+
+TEST(UpdateLog, NoOpInsertsKeepSnapshotsDense) {
+  // E25's merge_replay order: 20,000 requests of person 1 + i % 400 with
+  // sliding-window disorder (window 512) into a log with dense snapshots
+  // (interval 32, no bound). Past the first few hundred entries nearly
+  // every mid-insert is a duplicate request, so the replay mostly stops
+  // at the insertion point. The walk up to it must still re-take
+  // snapshots: otherwise each no-op insert widens the gap it lands in, the
+  // snapshots thin out, and the walks grow. Bound: the 5,414,008 applies
+  // this run cost when every mid-insert replayed to the tail.
+  constexpr std::size_t kEntries = 20000, kWindow = 512;
+  sim::Rng rng(0xe25 ^ 0x9e25);
+  std::vector<std::size_t> order(kEntries);
+  for (std::size_t i = 0; i < kEntries; ++i) order[i] = i;
+  for (std::size_t i = kEntries; i-- > 1;) {
+    const std::size_t lo = i > kWindow ? i - kWindow : 0;
+    const auto j = static_cast<std::size_t>(rng.uniform_int(
+        static_cast<std::int64_t>(lo), static_cast<std::int64_t>(i)));
+    std::swap(order[i], order[j]);
+  }
+  Log log(32, 0);
+  for (const std::size_t i : order) {
+    log.insert({Timestamp{i + 1, static_cast<core::NodeId>(i % 4)},
+                req(static_cast<apps::airline::Person>(1 + i % 400))});
+  }
+  EXPECT_LE(log.stats().redone_updates, 5414008u);
+  EXPECT_EQ(log.state(), log.recompute_naive());
 }
 
 TEST(UpdateLog, CompactionRecyclesArenaSlots) {
