@@ -20,6 +20,7 @@
 
 #include "analysis/execution_checker.hpp"
 #include "apps/airline/airline.hpp"
+#include "bench_json.hpp"
 #include "harness/probabilistic.hpp"
 #include "harness/scenario.hpp"
 #include "harness/table.hpp"
@@ -55,15 +56,6 @@ const char* routing_key(harness::Routing r) {
       return "all_pinned";
   }
   return "?";
-}
-
-/// Indent an embedded JSON document so the output stays readable.
-void print_indented(const std::string& json, const char* pad) {
-  std::printf("%s", pad);
-  for (const char c : json) {
-    std::putchar(c);
-    if (c == '\n') std::printf("%s", pad);
-  }
 }
 
 struct Point {

@@ -20,6 +20,7 @@
 
 #include "analysis/execution_checker.hpp"
 #include "apps/airline/airline.hpp"
+#include "bench_json.hpp"
 #include "harness/scenario.hpp"
 #include "harness/table.hpp"
 #include "harness/workload.hpp"
@@ -30,15 +31,6 @@ namespace {
 
 namespace al = apps::airline;
 using Air = al::BasicAirline<20, 900, 300>;
-
-/// Indent an embedded JSON document so the output stays readable.
-void print_indented(const std::string& json, const char* pad) {
-  std::printf("%s", pad);
-  for (const char c : json) {
-    std::putchar(c);
-    if (c == '\n') std::printf("%s", pad);
-  }
-}
 
 struct RunResult {
   std::size_t serial_txs = 0;

@@ -22,6 +22,7 @@
 
 #include "analysis/execution_checker.hpp"
 #include "apps/airline/airline.hpp"
+#include "bench_json.hpp"
 #include "harness/scenario.hpp"
 #include "harness/workload.hpp"
 #include "obs/metrics.hpp"
@@ -38,15 +39,6 @@ struct Point {
   bool checker_clean = true;
   std::string metrics_json;
 };
-
-/// Indent an embedded JSON document so the output stays readable.
-void print_indented(const std::string& json, const char* pad) {
-  std::printf("%s", pad);
-  for (const char c : json) {
-    std::putchar(c);
-    if (c == '\n') std::printf("%s", pad);
-  }
-}
 
 }  // namespace
 

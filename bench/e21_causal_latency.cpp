@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "apps/airline/airline.hpp"
+#include "bench_json.hpp"
 #include "harness/scenario.hpp"
 #include "harness/workload.hpp"
 #include "obs/causal.hpp"
@@ -35,15 +36,6 @@ namespace al = apps::airline;
 using Air = al::BasicAirline<20, 900, 300>;
 
 constexpr double kHorizon = 20.0;
-
-/// Indent an embedded JSON document so the output stays readable.
-void print_indented(const std::string& json, const char* pad) {
-  std::printf("%s", pad);
-  for (const char c : json) {
-    std::putchar(c);
-    if (c == '\n') std::printf("%s", pad);
-  }
-}
 
 struct SeedResult {
   std::uint64_t seed = 0;

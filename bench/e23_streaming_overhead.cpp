@@ -39,6 +39,7 @@
 #include "analysis/execution_checker.hpp"
 #include "analysis/streaming.hpp"
 #include "apps/airline/airline.hpp"
+#include "bench_json.hpp"
 #include "harness/scenario.hpp"
 #include "harness/workload.hpp"
 #include "obs/metrics.hpp"
@@ -122,14 +123,6 @@ struct Row {
   double wall_ms = 0.0;
   std::string metrics_json;
 };
-
-void print_indented(const std::string& json, const char* pad) {
-  std::printf("%s", pad);
-  for (const char c : json) {
-    std::putchar(c);
-    if (c == '\n') std::printf("%s", pad);
-  }
-}
 
 }  // namespace
 

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "apps/airline/airline.hpp"
+#include "bench_json.hpp"
 #include "harness/scenario.hpp"
 #include "harness/workload.hpp"
 #include "obs/causal.hpp"
@@ -41,14 +42,6 @@ namespace al = apps::airline;
 using Air = al::BasicAirline<20, 900, 300>;
 
 constexpr double kHorizon = 20.0;
-
-void print_indented(const std::string& json, const char* pad) {
-  std::printf("%s", pad);
-  for (const char c : json) {
-    std::putchar(c);
-    if (c == '\n') std::printf("%s", pad);
-  }
-}
 
 /// The canonical crash-chaos shape (partition + two crashes, one amnesia)
 /// the chaos tiers, E19, E21 and trace_diff all use.

@@ -45,6 +45,7 @@
 #include <vector>
 
 #include "apps/airline/airline.hpp"
+#include "bench_json.hpp"
 #include "harness/scenario.hpp"
 #include "obs/metrics.hpp"
 #include "shard/cluster.hpp"
@@ -276,15 +277,6 @@ ReplayStats run_replay(const std::vector<std::size_t>& order) {
   st.engine = log.stats();
   st.checkpoints_retained = log.checkpoints_retained();
   return st;
-}
-
-/// Indent an embedded JSON document so the output stays readable.
-void print_indented(const std::string& json, const char* pad) {
-  std::printf("%s", pad);
-  for (const char c : json) {
-    std::putchar(c);
-    if (c == '\n') std::printf("%s", pad);
-  }
 }
 
 }  // namespace

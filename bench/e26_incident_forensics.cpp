@@ -29,6 +29,7 @@
 #include "analysis/incident.hpp"
 #include "analysis/streaming.hpp"
 #include "apps/airline/airline.hpp"
+#include "bench_json.hpp"
 #include "harness/scenario.hpp"
 #include "harness/workload.hpp"
 #include "obs/causal.hpp"
@@ -47,14 +48,6 @@ namespace al = apps::airline;
 using Air = al::BasicAirline<20, 900, 300>;
 
 constexpr double kHorizon = 20.0;
-
-void print_indented(const std::string& json, const char* pad) {
-  std::printf("%s", pad);
-  for (const char c : json) {
-    std::putchar(c);
-    if (c == '\n') std::printf("%s", pad);
-  }
-}
 
 /// E24's canonical crash-chaos shape with a Byzantine corruption overlay:
 /// the adversary substitutes payloads at the receive path, so the

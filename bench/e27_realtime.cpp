@@ -33,6 +33,7 @@
 
 #include "analysis/execution_checker.hpp"
 #include "apps/dictionary/dictionary.hpp"
+#include "bench_json.hpp"
 #include "harness/scenario.hpp"
 #include "obs/metrics.hpp"
 #include "obs/tracer.hpp"
@@ -51,14 +52,6 @@ constexpr std::uint64_t kUpdates = 400;
 constexpr std::size_t kNodes = 3;
 constexpr double kSubmitWindow = 10.0;  ///< DES: submits spread over [0, w)
 constexpr double kDesHorizon = 12.0;
-
-void print_indented(const std::string& json, const char* pad) {
-  std::printf("%s", pad);
-  for (const char c : json) {
-    std::putchar(c);
-    if (c == '\n') std::printf("%s", pad);
-  }
-}
 
 /// The seeded insert workload, identical on both backends: who gets
 /// update k and what it writes is a pure function of (seed, k).
