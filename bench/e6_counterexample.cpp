@@ -67,7 +67,7 @@ int main() {
                      : "no"});
   const auto final = exec.final_state();
   table.add_row({"final assigned count",
-                 harness::Table::num(final.assigned.size())});
+                 harness::Table::num(final.assigned().size())});
   table.add_row({"final overbooking cost",
                  "$" + harness::Table::num(
                            Air::cost(final, Air::kOverbooking), 0)});

@@ -53,7 +53,7 @@ int main() {
   const auto basic = run_anomaly<BasicAir>(
       [](al::Person p, std::uint64_t) { return al::Request::request(p); });
   std::printf("basic design, final wait list: ");
-  for (al::Person p : basic.waiting) std::printf("%s ", al::person_name(p).c_str());
+  for (al::Person p : basic.waiting()) std::printf("%s ", al::person_name(p).c_str());
   std::printf("\n  -> %s\n\n",
               BasicAir::Priority::precedes(basic, 2, 1)
                   ? "Q is AHEAD of P: the demotion put Q at the head of the "
@@ -87,7 +87,7 @@ int main() {
               report.ok() ? "holds on this execution" : "VIOLATED (bug!)");
   const auto final = sx.execution().final_state();
   std::printf("  final assigned order: ");
-  for (al::Person p : final.assigned) {
+  for (al::Person p : final.assigned()) {
     std::printf("%s ", al::person_name(p).c_str());
   }
   std::printf("(Q keeps its head start forever)\n");

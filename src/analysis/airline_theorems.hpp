@@ -63,7 +63,7 @@ std::size_t witness_k_overbooking(const core::Execution<Air>& exec,
   const std::vector<al::Update> seen =
       detail::updates_at(exec, exec.tx(i).prefix);
   std::size_t k = 0;
-  for (al::Person p : s.assigned) {
+  for (al::Person p : s.assigned()) {
     if (!al::find_assignment_witness(seen, p).has_value()) ++k;
   }
   return k;
@@ -152,7 +152,7 @@ CheckReport check_theorem21_overbooking(const core::Execution<Air>& exec,
   const typename Air::State s = exec.final_state();
   const std::vector<al::Update> seen_updates = detail::updates_at(exec, seen);
   std::size_t k = 0;
-  for (al::Person p : s.assigned) {
+  for (al::Person p : s.assigned()) {
     if (!al::find_assignment_witness(seen_updates, p).has_value()) ++k;
   }
   const double bound =
@@ -184,7 +184,7 @@ CheckReport check_theorem21_underbooking(
   const std::vector<al::Update> full =
       detail::full_updates_before(exec, exec.size());
   std::size_t k1 = 0;
-  for (al::Person p : s.waiting) {
+  for (al::Person p : s.waiting()) {
     if (!al::find_waiting_witness(seen_updates, p).has_value()) ++k1;
   }
   std::size_t k2 = 0;

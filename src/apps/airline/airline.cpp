@@ -38,16 +38,16 @@ std::string Request::to_string() const {
 
 std::string State::to_string() const {
   std::ostringstream os;
+  const auto list = [&os](std::span<const Person> l) {
+    for (std::size_t i = 0; i < l.size(); ++i) {
+      if (i) os << ",";
+      os << person_name(l[i]);
+    }
+  };
   os << "AL=[";
-  for (std::size_t i = 0; i < assigned.size(); ++i) {
-    if (i) os << ",";
-    os << person_name(assigned[i]);
-  }
+  list(assigned());
   os << "] WL=[";
-  for (std::size_t i = 0; i < waiting.size(); ++i) {
-    if (i) os << ",";
-    os << person_name(waiting[i]);
-  }
+  list(waiting());
   os << "]";
   return os.str();
 }

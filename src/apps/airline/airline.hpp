@@ -6,10 +6,13 @@
 //
 // A database state consists of ASSIGNED-LIST (people notified they have
 // seats) and WAIT-LIST (people who requested seats but have none); the
-// well-formedness condition is that the two lists are disjoint. There are
-// four transactions — REQUEST(P), CANCEL(P), MOVE-UP, MOVE-DOWN — each split
-// into a decision part and an update exactly as in the paper, and two
-// integrity constraints:
+// well-formedness condition is that the two lists are disjoint. State also
+// keeps a per-person membership index derived from the lists, so "is P
+// known?" costs O(1) and only a real removal scans a list; equality
+// compares the lists alone (see State). There are four transactions —
+// REQUEST(P), CANCEL(P), MOVE-UP, MOVE-DOWN — each split into a decision
+// part and an update exactly as in the paper, and two integrity
+// constraints:
 //
 //   constraint 0 (overbooking):  AL <= Capacity,
 //       cost(s,0) = OverCost * (AL(s) -. Capacity)          [paper: $900]
@@ -28,7 +31,9 @@
 
 #include <algorithm>
 #include <compare>
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -76,28 +81,126 @@ struct Request {
   std::string to_string() const;
 };
 
-/// Database state: the two ordered lists.
-struct State {
-  std::vector<Person> assigned;  ///< ASSIGNED-LIST, in notification order.
-  std::vector<Person> waiting;   ///< WAIT-LIST, in priority order.
+template <int Capacity, int OverbookCost, int UnderbookCost>
+struct BasicAirline;
 
-  friend bool operator==(const State&, const State&) = default;
+/// Database state: the two ordered lists of section 2.1, plus a membership
+/// index derived from them. The index holds an "on ASSIGNED-LIST" and an "on
+/// WAIT-LIST" bit per person id, and each bit is set iff the person occurs
+/// at least once in that list; only BasicAirline::apply and the
+/// constructors change a State, and they keep it so. Equality compares the
+/// lists alone: two States with equal lists are equal whatever ids their
+/// indexes have room for, which is the exact equality core::Replicable
+/// asks for.
+///
+/// One buffer holds both lists, ASSIGNED-LIST first, and a second the index,
+/// so a copy makes at most two heap allocations; the merge engine copies a
+/// State for every snapshot. The index has two bits for every id up to the
+/// largest one ever added to a list (ids are dense, see Person), in every
+/// copy.
+class State {
+ public:
+  /// The initial state: both lists empty.
+  State() = default;
+  /// A state holding exactly these lists, in order. Nothing is checked:
+  /// tests build ill-formed states (overlap, duplicates) this way.
+  State(const std::vector<Person>& assigned,
+        const std::vector<Person>& waiting) {
+    for (Person p : assigned) push_assigned(p);
+    for (Person p : waiting) push_waiting(p);
+  }
 
-  bool is_assigned(Person p) const {
-    return std::find(assigned.begin(), assigned.end(), p) != assigned.end();
+  /// ASSIGNED-LIST, in notification order.
+  std::span<const Person> assigned() const {
+    return std::span<const Person>(lists_).first(split_);
   }
-  bool is_waiting(Person p) const {
-    return std::find(waiting.begin(), waiting.end(), p) != waiting.end();
+  /// WAIT-LIST, in priority order.
+  std::span<const Person> waiting() const {
+    return std::span<const Person>(lists_).subspan(split_);
   }
+
+  bool is_assigned(Person p) const { return (bits(p) & kAssigned) != 0; }
+  bool is_waiting(Person p) const { return (bits(p) & kWaiting) != 0; }
   /// "A person is known in a given state s if he is either in
   /// ASSIGNED-LIST(s) or WAIT-LIST(s)."
-  bool is_known(Person p) const { return is_assigned(p) || is_waiting(p); }
+  bool is_known(Person p) const { return bits(p) != 0; }
 
   /// AL(s) and WL(s) shorthands of section 2.1.
-  std::int64_t al() const { return static_cast<std::int64_t>(assigned.size()); }
-  std::int64_t wl() const { return static_cast<std::int64_t>(waiting.size()); }
+  std::int64_t al() const { return static_cast<std::int64_t>(split_); }
+  std::int64_t wl() const {
+    return static_cast<std::int64_t>(lists_.size() - split_);
+  }
+
+  friend bool operator==(const State& a, const State& b) {
+    return a.split_ == b.split_ && a.lists_ == b.lists_;
+  }
 
   std::string to_string() const;
+
+ private:
+  template <int, int, int>
+  friend struct BasicAirline;
+
+  static constexpr std::uint64_t kAssigned = 1;
+  static constexpr std::uint64_t kWaiting = 2;
+  static constexpr std::size_t kIdsPerWord = 32;  // two bits per id
+
+  static unsigned shift(Person p) { return 2 * (p % kIdsPerWord); }
+
+  std::uint64_t bits(Person p) const {
+    const std::size_t w = p / kIdsPerWord;
+    return w < index_.size() ? (index_[w] >> shift(p)) & 3u : 0u;
+  }
+
+  void set(Person p, std::uint64_t bit) {
+    const std::size_t w = p / kIdsPerWord;
+    if (w >= index_.size()) index_.resize(w + 1);
+    index_[w] |= bit << shift(p);
+  }
+  void clear(Person p, std::uint64_t bit) {
+    index_[p / kIdsPerWord] &= ~(bit << shift(p));
+  }
+
+  std::vector<Person>::iterator at(std::size_t i) {
+    return lists_.begin() + static_cast<std::ptrdiff_t>(i);
+  }
+
+  /// P to the end of ASSIGNED-LIST.
+  void push_assigned(Person p) {
+    set(p, kAssigned);
+    lists_.insert(at(split_), p);
+    ++split_;
+  }
+  /// P to the end of WAIT-LIST.
+  void push_waiting(Person p) {
+    set(p, kWaiting);
+    lists_.push_back(p);
+  }
+  /// P to the front of WAIT-LIST.
+  void push_waiting_front(Person p) {
+    set(p, kWaiting);
+    lists_.insert(at(split_), p);
+  }
+
+  /// Remove every occurrence of P from ASSIGNED-LIST.
+  void erase_assigned(Person p) {
+    if (!is_assigned(p)) return;
+    clear(p, kAssigned);
+    const auto kept = std::remove(lists_.begin(), at(split_), p);
+    const auto removed = static_cast<std::size_t>(at(split_) - kept);
+    lists_.erase(kept, at(split_));
+    split_ -= removed;
+  }
+  /// Remove every occurrence of P from WAIT-LIST.
+  void erase_waiting(Person p) {
+    if (!is_waiting(p)) return;
+    clear(p, kWaiting);
+    lists_.erase(std::remove(at(split_), lists_.end(), p), lists_.end());
+  }
+
+  std::vector<Person> lists_;         ///< ASSIGNED-LIST, then WAIT-LIST
+  std::size_t split_ = 0;             ///< where WAIT-LIST starts in lists_
+  std::vector<std::uint64_t> index_;  ///< two bits per id
 };
 
 /// The application, parameterized so experiments can shrink the flight.
@@ -124,19 +227,23 @@ struct BasicAirline {
 
   /// "ASSIGNED-LIST and WAIT-LIST must contain disjoint sets of people."
   /// (We additionally require each list to be duplicate-free, which every
-  /// update preserves.)
+  /// update preserves.) Judged from the lists, not the index.
   static bool well_formed(const State& s) {
-    for (Person p : s.assigned) {
-      if (std::count(s.assigned.begin(), s.assigned.end(), p) != 1) return false;
-      if (s.is_waiting(p)) return false;
+    const auto assigned = s.assigned();
+    const auto waiting = s.waiting();
+    for (Person p : assigned) {
+      if (std::ranges::count(assigned, p) != 1) return false;
+      if (std::ranges::find(waiting, p) != waiting.end()) return false;
     }
-    for (Person p : s.waiting) {
-      if (std::count(s.waiting.begin(), s.waiting.end(), p) != 1) return false;
+    for (Person p : waiting) {
+      if (std::ranges::count(waiting, p) != 1) return false;
     }
     return true;
   }
 
   /// The update semantics of the four transaction programs (section 2.3).
+  /// Membership is read from the index; a removal takes every occurrence,
+  /// so even an ill-formed state changes as the list programs say.
   static void apply(const Update& u, State& s) {
     switch (u.kind) {
       case Update::Kind::kNoop:
@@ -146,12 +253,12 @@ struct BasicAirline {
         // either the WAIT-LIST or the ASSIGNED-LIST ... In case P is on
         // either list, A does nothing." (Policy of section 5.1: a duplicate
         // request does not change P's original priority.)
-        if (!s.is_known(u.person)) s.waiting.push_back(u.person);
+        if (!s.is_known(u.person)) s.push_waiting(u.person);
         break;
       case Update::Kind::kCancel:
         // "removes P from any list on which it happens to appear."
-        std::erase(s.waiting, u.person);
-        std::erase(s.assigned, u.person);
+        s.erase_waiting(u.person);
+        s.erase_assigned(u.person);
         break;
       case Update::Kind::kMoveUp:
         // "moves P from the waiting list to the end of the assigned list,
@@ -160,15 +267,15 @@ struct BasicAirline {
         // list), no change occurs." (Section 5.1 policy: a duplicate
         // move-up does not alter P's previous priority.)
         if (s.is_waiting(u.person)) {
-          std::erase(s.waiting, u.person);
-          s.assigned.push_back(u.person);
+          s.erase_waiting(u.person);
+          s.push_assigned(u.person);
         }
         break;
       case Update::Kind::kMoveDown:
         // Symmetric; front-insertion into the wait list (see file header).
         if (s.is_assigned(u.person)) {
-          std::erase(s.assigned, u.person);
-          s.waiting.insert(s.waiting.begin(), u.person);
+          s.erase_assigned(u.person);
+          s.push_waiting_front(u.person);
         }
         break;
     }
@@ -191,7 +298,7 @@ struct BasicAirline {
         // "Decision: AL < 100 and WL > 0 and P is the first person on
         //  WAIT-LIST. External event: inform P that P is now assigned."
         if (s.al() < Capacity && s.wl() > 0) {
-          const Person p = s.waiting.front();
+          const Person p = s.waiting().front();
           out.update = Update{Update::Kind::kMoveUp, p};
           out.external_actions.push_back({"grant-seat", person_name(p)});
         }
@@ -200,7 +307,7 @@ struct BasicAirline {
         // "Decision: AL > 100 and P is the last person on ASSIGNED-LIST.
         //  External event: inform P that P is now waitlisted."
         if (s.al() > Capacity) {
-          const Person p = s.assigned.back();
+          const Person p = s.assigned().back();
           out.update = Update{Update::Kind::kMoveDown, p};
           out.external_actions.push_back({"rescind-seat", person_name(p)});
         }
@@ -275,22 +382,22 @@ struct BasicAirline {
     using Entity = Person;
 
     static std::vector<Entity> known(const State& s) {
-      std::vector<Entity> out = s.assigned;
-      out.insert(out.end(), s.waiting.begin(), s.waiting.end());
+      std::vector<Entity> out(s.assigned().begin(), s.assigned().end());
+      out.insert(out.end(), s.waiting().begin(), s.waiting().end());
       return out;
     }
 
     static bool precedes(const State& s, Person p, Person q) {
-      const auto pos = [](const std::vector<Person>& v, Person x) {
-        return std::find(v.begin(), v.end(), x) - v.begin();
+      const auto pos = [](std::span<const Person> v, Person x) {
+        return std::ranges::find(v, x) - v.begin();
       };
       const bool p_assigned = s.is_assigned(p);
       const bool q_assigned = s.is_assigned(q);
       if (p_assigned && q_assigned) {
-        return pos(s.assigned, p) < pos(s.assigned, q);
+        return pos(s.assigned(), p) < pos(s.assigned(), q);
       }
       if (!p_assigned && !q_assigned && s.is_waiting(p) && s.is_waiting(q)) {
-        return pos(s.waiting, p) < pos(s.waiting, q);
+        return pos(s.waiting(), p) < pos(s.waiting(), q);
       }
       return p_assigned && s.is_waiting(q);
     }

@@ -65,8 +65,7 @@ TEST(UpdateLogCompaction, MidInsertAboveCutStillCorrect) {
   EXPECT_EQ(log.state(), log.recompute_naive());
   // state_before still works relative to the base.
   const auto s = log.state_before(core::Timestamp{10, 0});
-  al::SmallAirline::State expect;
-  for (al::Person p : {1u, 2u, 3u}) expect.waiting.push_back(p);  // folded
+  al::SmallAirline::State expect({}, {1, 2, 3});  // folded
   al::SmallAirline::apply(req(4), expect);
   al::SmallAirline::apply({al::Update::Kind::kCancel, 4}, expect);
   EXPECT_EQ(s, expect);

@@ -80,8 +80,7 @@ TEST(Compensation, AlreadyZeroCostNeedsNoSteps) {
 TEST(Compensation, StepCapReportsFailureHonestly) {
   // A deliberately wrong compensator (REQUEST never reduces underbooking):
   // the iteration must stop at the cap and report not-zero.
-  al::State s;
-  s.waiting = {1, 2, 3};
+  const al::State s({}, {1, 2, 3});
   const auto run = analysis::iterate_compensator<Air>(
       s, Request::request(99), Air::kUnderbooking, /*max_steps=*/10);
   EXPECT_FALSE(run.reached_zero);

@@ -48,16 +48,14 @@ TEST(Execution, ApparentVsActualStates) {
   const auto& exec = sx.execution();
   // Apparent state before tx2: only request(P2) applied.
   const auto t = exec.apparent_state_before(2);
-  EXPECT_EQ(t.waiting, (std::vector<al::Person>{2}));
+  EXPECT_EQ(t, al::State({}, {2}));
   EXPECT_EQ(exec.tx(2).update, (Update{Update::Kind::kMoveUp, 2}));
   // Apparent state after tx2: P2 assigned, nothing else visible.
   const auto t_after = exec.apparent_state_after(2);
-  EXPECT_EQ(t_after.assigned, (std::vector<al::Person>{2}));
-  EXPECT_TRUE(t_after.waiting.empty());
+  EXPECT_EQ(t_after, al::State({2}, {}));
   // Actual state after tx2: P1 still waiting, P2 assigned.
   const auto s_after = exec.actual_state_after(2);
-  EXPECT_EQ(s_after.assigned, (std::vector<al::Person>{2}));
-  EXPECT_EQ(s_after.waiting, (std::vector<al::Person>{1}));
+  EXPECT_EQ(s_after, al::State({2}, {1}));
   // actual_states() agrees with per-index queries.
   const auto all = exec.actual_states();
   ASSERT_EQ(all.size(), 4u);
@@ -74,11 +72,10 @@ TEST(Execution, StateOfSubsequenceAppliesInAscendingOrder) {
   const auto& exec = sx.execution();
   // Subsequence {0, 2}: request then cancel -> empty.
   const auto s = exec.state_of_subsequence({0, 2});
-  EXPECT_TRUE(s.assigned.empty());
-  EXPECT_TRUE(s.waiting.empty());
+  EXPECT_EQ(s, SmallAirline::initial());
   // Subsequence {0, 1}: request then move-up -> assigned.
   const auto s2 = exec.state_of_subsequence({0, 1});
-  EXPECT_EQ(s2.assigned, (std::vector<al::Person>{1}));
+  EXPECT_EQ(s2, al::State({1}, {}));
 }
 
 TEST(Execution, PrefixExecutionTruncates) {
@@ -87,7 +84,7 @@ TEST(Execution, PrefixExecutionTruncates) {
   sx.run_complete(Request::move_up());
   const auto trunc = sx.execution().prefix_execution(1);
   EXPECT_EQ(trunc.size(), 1u);
-  EXPECT_EQ(trunc.final_state().waiting, (std::vector<al::Person>{1}));
+  EXPECT_EQ(trunc.final_state(), al::State({}, {1}));
 }
 
 TEST(CheckerConditions, DetectsCondition3Violation) {

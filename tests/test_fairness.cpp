@@ -52,10 +52,8 @@ TEST(PriorityCounterexample, MoveUpDoesNotStronglyPreservePriority) {
   // update. In state s', P is on the WAIT-LIST but is not the first person:
   // person Q is first. Then the move-up(P) action still moves P to the end
   // of the ASSIGNED-LIST, in this case moving it ahead of Q."
-  al::State s;         // decision state: P=1 first
-  s.waiting = {1, 2};
-  al::State s_prime;   // application state: Q=2 first
-  s_prime.waiting = {2, 1};
+  const al::State s({}, {1, 2});        // decision state: P=1 first
+  const al::State s_prime({}, {2, 1});  // application state: Q=2 first
   const auto decision = Air::decide(Request::move_up(), s);
   EXPECT_EQ(decision.update, (al::Update{al::Update::Kind::kMoveUp, 1}));
   al::State s_dprime = s_prime;
@@ -70,10 +68,10 @@ TEST(PriorityCounterexample, MoveUpDoesNotStronglyPreservePriority) {
 
 TEST(PriorityCounterexample, MoveDownDoesNotStronglyPreservePriority) {
   // "Similar remarks hold for the MOVE-DOWN transaction."
-  al::State s;  // overbooked; decision picks last assigned = P6
-  s.assigned = {1, 2, 3, 4, 5, 6};
-  al::State s_prime;  // but elsewhere P6 is FIRST assigned
-  s_prime.assigned = {6, 1, 2, 3, 4, 5};
+  // Overbooked; decision picks last assigned = P6.
+  const al::State s({1, 2, 3, 4, 5, 6}, {});
+  // But elsewhere P6 is FIRST assigned.
+  const al::State s_prime({6, 1, 2, 3, 4, 5}, {});
   const auto decision = Air::decide(Request::move_down(), s);
   EXPECT_EQ(decision.update, (al::Update{al::Update::Kind::kMoveDown, 6}));
   al::State s_dprime = s_prime;

@@ -97,11 +97,11 @@ TEST(PaperExample31, State204HasOverbookingCost1800) {
   // the assigned list in numerical order, and no one on the waiting list."
   const auto sx = build_section31_example();
   const auto s204 = sx.execution().actual_state_before(204);
-  ASSERT_EQ(s204.assigned.size(), 102u);
+  ASSERT_EQ(s204.assigned().size(), 102u);
   for (al::Person p = 1; p <= 102; ++p) {
-    EXPECT_EQ(s204.assigned[p - 1], p);
+    EXPECT_EQ(s204.assigned()[p - 1], p);
   }
-  EXPECT_TRUE(s204.waiting.empty());
+  EXPECT_TRUE(s204.waiting().empty());
   // "there is a reachable state (s204) for which the overbooking cost is
   // nonzero" — two over capacity at $900.
   EXPECT_DOUBLE_EQ(Airline::cost(s204, Airline::kOverbooking), 1800.0);
@@ -112,10 +112,11 @@ TEST(PaperExample31, MoveDownLeavesP101Waiting) {
   // P1, P2, ..., P100, P102 in order on the assigned list."
   const auto sx = build_section31_example();
   const auto s205 = sx.execution().actual_state_before(205);
-  EXPECT_EQ(s205.waiting, (std::vector<al::Person>{101}));
-  ASSERT_EQ(s205.assigned.size(), 101u);
-  for (al::Person p = 1; p <= 100; ++p) EXPECT_EQ(s205.assigned[p - 1], p);
-  EXPECT_EQ(s205.assigned[100], 102u);
+  ASSERT_EQ(s205.waiting().size(), 1u);
+  EXPECT_EQ(s205.waiting()[0], 101u);
+  ASSERT_EQ(s205.assigned().size(), 101u);
+  for (al::Person p = 1; p <= 100; ++p) EXPECT_EQ(s205.assigned()[p - 1], p);
+  EXPECT_EQ(s205.assigned()[100], 102u);
 }
 
 TEST(PaperExample31, FinalStateHasExactly100Passengers) {
@@ -123,11 +124,12 @@ TEST(PaperExample31, FinalStateHasExactly100Passengers) {
   // passengers: P2, ..., P100, P102."
   const auto sx = build_section31_example();
   const auto final = sx.execution().final_state();
-  ASSERT_EQ(final.assigned.size(), 100u);
-  EXPECT_EQ(final.assigned.front(), 2u);
-  EXPECT_EQ(final.assigned[98], 100u);
-  EXPECT_EQ(final.assigned.back(), 102u);
-  EXPECT_EQ(final.waiting, (std::vector<al::Person>{101}));
+  ASSERT_EQ(final.assigned().size(), 100u);
+  EXPECT_EQ(final.assigned().front(), 2u);
+  EXPECT_EQ(final.assigned()[98], 100u);
+  EXPECT_EQ(final.assigned().back(), 102u);
+  ASSERT_EQ(final.waiting().size(), 1u);
+  EXPECT_EQ(final.waiting()[0], 101u);
   EXPECT_DOUBLE_EQ(Airline::cost(final, Airline::kOverbooking), 0.0);
 }
 
@@ -267,7 +269,7 @@ TEST(PaperExample54, FinalCostNonzeroDespiteCentralization) {
   // "The cost after this execution is non zero."
   const auto sx = build_section54_counterexample();
   const auto final = sx.execution().final_state();
-  EXPECT_EQ(final.assigned.size(), 101u);
+  EXPECT_EQ(final.assigned().size(), 101u);
   EXPECT_DOUBLE_EQ(Airline::cost(final, Airline::kOverbooking), 900.0);
 }
 

@@ -91,22 +91,17 @@ TEST_P(TxConditions, SafetyClassificationMatchesTheory) {
   // safe side must survive the full randomized sample.
   std::vector<Air::State> search = states;
   for (al::Person p = 1; p <= 9; ++p) {
-    Air::State full_waiting;  // p waits while the plane is exactly full
-    for (al::Person q = 20; q < 20 + Air::kCapacity; ++q) {
-      full_waiting.assigned.push_back(q);
-    }
-    full_waiting.waiting = {p};
-    search.push_back(full_waiting);
-    Air::State full_assigned = full_waiting;  // p assigned, others wait
-    full_assigned.waiting.clear();
-    full_assigned.assigned.push_back(p);
-    full_assigned.assigned.erase(full_assigned.assigned.begin());
-    full_assigned.waiting = {30, 31};
-    search.push_back(full_assigned);
-    Air::State overbooked = full_waiting;  // p is the LAST assignee, AL > 5
-    overbooked.waiting.clear();
-    overbooked.assigned.push_back(p);
-    search.push_back(overbooked);
+    std::vector<al::Person> full;  // the plane exactly full
+    for (al::Person q = 20; q < 20 + Air::kCapacity; ++q) full.push_back(q);
+    // p waits while the plane is exactly full.
+    search.emplace_back(full, std::vector<al::Person>{p});
+    // p assigned, others wait.
+    std::vector<al::Person> with_p(full.begin() + 1, full.end());
+    with_p.push_back(p);
+    search.emplace_back(with_p, std::vector<al::Person>{30, 31});
+    // p is the LAST assignee, AL > 5.
+    full.push_back(p);
+    search.emplace_back(full, std::vector<al::Person>{});
   }
   const std::vector<Request> reqs = {Request::request(1), Request::cancel(1),
                                      Request::move_up(),

@@ -39,8 +39,7 @@ TEST(UpdateLog, TailAppendsApplyDirectly) {
   log.insert({Timestamp{2, 0}, req(2)});
   log.insert({Timestamp{3, 0}, up(1)});
   EXPECT_EQ(log.size(), 3u);
-  EXPECT_EQ(log.state().assigned, (std::vector<apps::airline::Person>{1}));
-  EXPECT_EQ(log.state().waiting, (std::vector<apps::airline::Person>{2}));
+  EXPECT_EQ(log.state(), apps::airline::State({1}, {2}));
   EXPECT_EQ(log.stats().tail_appends, 3u);
   EXPECT_EQ(log.stats().mid_inserts, 0u);
   EXPECT_EQ(log.stats().undone_updates, 0u);
@@ -53,8 +52,7 @@ TEST(UpdateLog, OutOfOrderInsertTriggersUndoRedo) {
   log.insert({Timestamp{2, 0}, req(2)});
   log.insert({Timestamp{3, 0}, up(2)});
   log.insert({Timestamp{1, 0}, req(1)});
-  EXPECT_EQ(log.state().assigned, (std::vector<apps::airline::Person>{2}));
-  EXPECT_EQ(log.state().waiting, (std::vector<apps::airline::Person>{1}));
+  EXPECT_EQ(log.state(), apps::airline::State({2}, {1}));
   EXPECT_EQ(log.stats().mid_inserts, 1u);
   EXPECT_EQ(log.stats().undone_updates, 2u);  // req(2), up(2) displaced
 }
@@ -392,6 +390,50 @@ TEST(UpdateLog, NoOpMidInsertSkipsTheReplayAboveIt) {
   EXPECT_GT(log.stats().checkpoints_invalidated, 0u);
   EXPECT_EQ(log.stats().redone_updates - redone2, 42u - 8u);
   EXPECT_EQ(log.state(), log.recompute_naive());
+}
+
+TEST(UpdateLog, NoOpSkipComparesListsNotIndexHistory) {
+  // Person 10,000 is requested and cancelled at timestamps 6 and 8, so the
+  // states from position 4 on keep index room for an id no list holds, and
+  // the snapshot at 4 has the lists of position 2's state but not its
+  // index. Interval 4 over 12 appends: snapshots at 4, 8 and 12.
+  const std::vector<Update> appended = {req(1), req(2), req(10000),
+                                        cancel(10000), req(3), req(1),
+                                        req(4), cancel(2), req(5),
+                                        req(2), req(6), cancel(3)};
+  Log log(4);
+  for (std::size_t i = 0; i < appended.size(); ++i) {
+    log.insert({Timestamp{2 * (i + 1), 0}, appended[i]});
+  }
+  ASSERT_EQ(log.checkpoints_retained(), 4u);
+  const auto before = log.state();
+  // cancel(10000) at position 5, where 10,000 was requested and cancelled:
+  // replayed from the snapshot at 4 (one entry) plus the newcomer.
+  auto redone = log.stats().redone_updates;
+  log.insert({Timestamp{11, 1}, cancel(10000)});
+  EXPECT_EQ(log.stats().redone_updates - redone, 2u);
+  EXPECT_EQ(log.stats().undone_updates, 7u);
+  // req(1) at position 2, where 10,000 was never seen: replayed from the
+  // base (two entries) plus the newcomer, into scratch states that held
+  // the larger index of the walk above.
+  redone = log.stats().redone_updates;
+  log.insert({Timestamp{5, 1}, req(1)});
+  EXPECT_EQ(log.stats().redone_updates - redone, 3u);
+  EXPECT_EQ(log.stats().undone_updates, 7u + 11u);
+  // Both skipped the replay above them: the snapshots shifted, none went.
+  EXPECT_EQ(log.stats().checkpoints_invalidated, 0u);
+  EXPECT_EQ(log.checkpoints_retained(), 4u);
+  EXPECT_EQ(log.state(), before);
+  EXPECT_EQ(log.state(), apps::airline::State({}, {1, 4, 5, 2, 6}));
+  EXPECT_EQ(log.state(), log.recompute_naive());
+  for (std::size_t k = 0; k <= log.size(); ++k) {
+    SmallAirline::State expect = SmallAirline::initial();
+    for (std::size_t i = 0; i < k; ++i) {
+      SmallAirline::apply(log.update_at(i), expect);
+    }
+    const Timestamp cut = k < log.size() ? log.ts_at(k) : Timestamp{100, 0};
+    ASSERT_EQ(log.state_before(cut), expect) << "k = " << k;
+  }
 }
 
 /// Arrivals for timestamps 1..n in which most updates change nothing where
