@@ -38,8 +38,7 @@ RunResult run(std::size_t replication_factor, std::uint64_t seed) {
   cfg.num_groups = kGroups;
   cfg.replication_factor = replication_factor;
   cfg.network.delay = sim::Delay::exponential(0.02, 0.1, 2.0);
-  cfg.network.partitions =
-      sim::FaultPlan{}.split_halves(kNodes, kNodes / 2, 4.0, 12.0).partitions();
+  cfg.faults.split_halves(kNodes, kNodes / 2, 4.0, 12.0);
   cfg.anti_entropy_interval = 0.3;
   cfg.seed = seed;
   shard::PartialCluster<ShardedBanking> cluster(cfg);

@@ -31,8 +31,8 @@ struct RunResult {
 
 RunResult run(bool flood, bool causal, std::uint64_t seed) {
   harness::Scenario sc = harness::wan(4);
-  sc.drop_probability = 0.15;
-  sc.causal_broadcast = causal;
+  sc.network.drop_probability = 0.15;
+  sc.broadcast.causal = causal;
   auto cfg = sc.cluster_config<Air>(seed);
   cfg.broadcast.flood = flood;
   cfg.broadcast.anti_entropy_interval = 0.4;

@@ -36,7 +36,7 @@ RunResult run(bool compaction, double partition_len, std::uint64_t seed) {
       partition_len > 0.0
           ? harness::partitioned_wan(4, 10.0, 10.0 + partition_len)
           : harness::wan(4);
-  sc.anti_entropy_interval = 0.25;
+  sc.broadcast.anti_entropy_interval = 0.25;
   auto cfg = sc.cluster_config<Air>(seed);
   cfg.compaction = compaction;
   shard::Cluster<Air> cluster(cfg);

@@ -29,7 +29,7 @@
 #include "obs/perfetto.hpp"
 #include "obs/tracer.hpp"
 #include "shard/cluster.hpp"
-#include "sim/crash.hpp"
+#include "sim/fault_plan.hpp"
 
 namespace {
 

@@ -58,12 +58,12 @@ struct Point {
 Point run_scale(std::size_t n) {
   harness::Scenario sc = harness::lan(3);
   sc.name = "e20";
-  sc.anti_entropy_interval = 0.5;
+  sc.broadcast.anti_entropy_interval = 0.5;
   sc.compaction = true;
   sc.checkpoint_interval = 32;
   sc.max_checkpoints = 12;
-  sc.prune_repair_store = true;
-  sc.max_repairs_per_message = 64;
+  sc.broadcast.prune_repair_store = true;
+  sc.broadcast.max_repairs_per_message = 64;
   shard::Cluster<Air> cluster(sc.cluster_config<Air>(0xe20));
 
   // Deterministic request/cancel cycle over a bounded person population:

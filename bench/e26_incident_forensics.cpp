@@ -40,7 +40,7 @@
 #include "obs/metrics.hpp"
 #include "obs/tracer.hpp"
 #include "shard/cluster.hpp"
-#include "sim/crash.hpp"
+#include "sim/fault_plan.hpp"
 
 namespace {
 

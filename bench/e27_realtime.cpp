@@ -77,9 +77,9 @@ struct DesRun {
 DesRun run_des(std::uint64_t seed) {
   harness::Scenario sc;
   sc.num_nodes = kNodes;
-  sc.delay = sim::Delay::uniform(0.0002, 0.002);
-  sc.drop_probability = 0.05;
-  sc.anti_entropy_interval = 0.02;
+  sc.network.delay = sim::Delay::uniform(0.0002, 0.002);
+  sc.network.drop_probability = 0.05;
+  sc.broadcast.anti_entropy_interval = 0.02;
   sc.trace.enabled = true;
   sc.trace.ring_capacity = 1 << 18;
   const auto t0 = std::chrono::steady_clock::now();

@@ -67,7 +67,7 @@ int main() {
         Net{"wan, 20% loss",
             [] {
               auto s = harness::wan(4);
-              s.drop_probability = 0.2;
+              s.network.drop_probability = 0.2;
               return s;
             }()},
         Net{"wan+10s partition", harness::partitioned_wan(4, 5.0, 15.0)}}) {

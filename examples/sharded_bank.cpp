@@ -23,8 +23,7 @@ int main() {
   cfg.num_groups = 12;         // accounts
   cfg.replication_factor = 2;  // each account on 2 branches
   cfg.network.delay = sim::Delay::exponential(0.02, 0.08, 2.0);
-  cfg.network.partitions =
-      sim::FaultPlan{}.split_halves(6, 3, 3.0, 10.0).partitions();
+  cfg.faults.split_halves(6, 3, 3.0, 10.0);
   cfg.anti_entropy_interval = 0.3;
   cfg.seed = 5;
   shard::PartialCluster<ShardedBanking> bank(cfg);

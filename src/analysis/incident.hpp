@@ -5,8 +5,8 @@
 // about checkers. This header is the other half: the post-hoc oracles
 // (CheckReport over an assembled Execution) and the streaming checker
 // (seeds recorded live at detection time) each map onto the same build
-// call, so the bundle format — and everything downstream: trace_dump, the
-// e26 harness, the CI artifact — is identical no matter which checker
+// call, so the bundle format — and everything downstream: its rendering,
+// the e26 harness, the CI artifact — is identical no matter which checker
 // fired.
 //
 // The two sources differ in exactly the way the epoch-attribution rule

@@ -24,8 +24,8 @@ class CheckReport {
     tx_of_.push_back(kNoTx);
   }
   /// Violation attributed to transaction index `tx` in the checked
-  /// execution — lets diagnostics (analysis/trace_dump.hpp) find the
-  /// offending update and dump the trace window around it.
+  /// execution — lets the incident bundle (analysis/incident.hpp) find the
+  /// offending update and render the trace around it.
   void add_violation(std::string v, std::size_t tx) {
     violations_.push_back(std::move(v));
     tx_of_.push_back(tx);

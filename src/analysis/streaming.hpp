@@ -101,8 +101,9 @@ class StreamingChecker : public shard::StreamObserver<App> {
     /// pruning for the rest of the run.
     bool bounded_memory = false;
     /// When set, a ring window around each violating update is pinned at
-    /// detection time, so trace_dump still has the counter-example context
-    /// even after the ring wraps (obs::PinnedWindow).
+    /// detection time, so the incident bundle still has the
+    /// counter-example context even after the ring wraps
+    /// (obs::PinnedWindow).
     obs::TraceSource* tracer = nullptr;
   };
 
@@ -335,7 +336,8 @@ class StreamingChecker : public shard::StreamObserver<App> {
     return shadows_[n].state();
   }
 
-  /// Ring windows pinned at detection time (for analysis::trace_dump).
+  /// Ring windows pinned at detection time (for the incident bundle,
+  /// analysis::build_incident_report).
   const std::vector<obs::PinnedWindow>& pinned_windows() const {
     return pinned_;
   }

@@ -18,7 +18,7 @@
 #include <functional>
 #include <string>
 
-#include "sim/partition.hpp"
+#include "sim/delay.hpp"
 
 namespace core {
 

@@ -6,9 +6,9 @@ Scenario lan(std::size_t num_nodes) {
   Scenario s;
   s.name = "lan";
   s.num_nodes = num_nodes;
-  s.delay = sim::Delay::uniform(0.001, 0.005);
-  s.drop_probability = 0.0;
-  s.anti_entropy_interval = 0.25;
+  s.network.delay = sim::Delay::uniform(0.001, 0.005);
+  s.network.drop_probability = 0.0;
+  s.broadcast.anti_entropy_interval = 0.25;
   return s;
 }
 
@@ -16,9 +16,9 @@ Scenario wan(std::size_t num_nodes) {
   Scenario s;
   s.name = "wan";
   s.num_nodes = num_nodes;
-  s.delay = sim::Delay::exponential(0.05, 0.15, 5.0);
-  s.drop_probability = 0.05;
-  s.anti_entropy_interval = 0.5;
+  s.network.delay = sim::Delay::exponential(0.05, 0.15, 5.0);
+  s.network.drop_probability = 0.05;
+  s.broadcast.anti_entropy_interval = 0.5;
   return s;
 }
 

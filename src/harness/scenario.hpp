@@ -6,61 +6,22 @@
 #include <cstdint>
 #include <string>
 
-#include "net/broadcast.hpp"
-#include "obs/tracer.hpp"
 #include "shard/cluster.hpp"
-#include "sim/delay.hpp"
 #include "sim/fault_plan.hpp"
 
 namespace harness {
 
-/// Named network/cluster profiles.
-struct Scenario {
+/// A named cluster profile: a shard::ClusterConfig plus the name the
+/// experiment tables print. Every field of the config, the fault plan
+/// included, is set on the scenario itself.
+struct Scenario : shard::ClusterConfig {
   std::string name;
-  std::size_t num_nodes = 3;
-  sim::Delay delay = sim::Delay::constant(0.01);
-  double drop_probability = 0.0;
-  /// Every injected fault — partitions, crashes (durable / amnesia /
-  /// stale-disk), correlated rack losses, rolling restarts, mid-broadcast
-  /// crashes — as one composable, seeded plan (sim/fault_plan.hpp).
-  sim::FaultPlan faults;
-  bool causal_broadcast = true;
-  double anti_entropy_interval = 0.5;
-  /// Bounded anti-entropy repair: cap on wire payloads per repair reply
-  /// (0 = unlimited; see net::BroadcastOptions::max_repairs_per_message).
-  std::size_t max_repairs_per_message = 0;
-  /// Prune repair-store entries every peer already holds (O(window) store;
-  /// incompatible with amnesia crash schedules — Cluster validates).
-  bool prune_repair_store = false;
-  std::size_t checkpoint_interval = 32;
-  /// Geometric checkpoint bound per node (0 = keep every snapshot).
-  std::size_t max_checkpoints = 0;
-  /// Fold cluster-stable log prefixes into the base state ([SL]).
-  bool compaction = false;
-  /// Structured event tracing (obs/); disabled by default so existing
-  /// scenarios run with the null-tracer fast path.
-  obs::TraceOptions trace;
-  /// Per-fault-boundary metrics snapshots (shard::Cluster::metrics_series).
-  bool metrics_series = false;
 
-  /// Materialize as a cluster config with the given seed.
+  /// The config, with `seed` as its seed.
   template <class App>
   typename shard::Cluster<App>::Config cluster_config(
       std::uint64_t seed) const {
-    typename shard::Cluster<App>::Config cfg;
-    cfg.num_nodes = num_nodes;
-    cfg.network.delay = delay;
-    cfg.network.drop_probability = drop_probability;
-    cfg.faults = faults;
-    cfg.broadcast.causal = causal_broadcast;
-    cfg.broadcast.anti_entropy_interval = anti_entropy_interval;
-    cfg.broadcast.max_repairs_per_message = max_repairs_per_message;
-    cfg.broadcast.prune_repair_store = prune_repair_store;
-    cfg.checkpoint_interval = checkpoint_interval;
-    cfg.max_checkpoints = max_checkpoints;
-    cfg.compaction = compaction;
-    cfg.trace = trace;
-    cfg.metrics_series = metrics_series;
+    typename shard::Cluster<App>::Config cfg = *this;
     cfg.seed = seed;
     return cfg;
   }

@@ -69,12 +69,6 @@ struct BroadcastOptions {
   /// relies on peers retaining everything an amnesiac node may re-request
   /// and on the node's own complete stable outbox (Cluster validates).
   bool prune_repair_store = false;
-  /// Byzantine receive-path adversary (sim::ByzantineOptions): seeded
-  /// corruption / duplication / reordering of incoming wires, applied
-  /// before accept(). Disabled by default; an unarmed endpoint draws no
-  /// adversary randomness, so unarmed runs are byte-identical to builds
-  /// that predate the adversary.
-  sim::ByzantineOptions byzantine;
   /// Batched floods + group commit: broadcasts staged within one scheduler
   /// dispatch are flushed together at its end (Scheduler::defer) — one
   /// stable-outbox sync for the burst, and flood wires coalesced into
@@ -135,10 +129,15 @@ class ReliableBroadcast {
   /// The endpoint runs against the redesigned execution API: an Executor
   /// for time/timers/deferred flushes and a Transport for datagrams — any
   /// backend (deterministic simulator or the threaded runtime) works.
+  /// `byzantine` is the fault plan's receive-path adversary
+  /// (sim::FaultPlan::byzantine_payload): seeded corruption, duplication
+  /// and reordering of incoming wires before accept(). Unarmed by default;
+  /// an unarmed endpoint draws no adversary randomness.
   ReliableBroadcast(runtime::Executor& executor, runtime::Transport& transport,
                     sim::NodeId self, std::size_t cluster_size,
                     BroadcastOptions options, std::uint64_t seed,
-                    DeliverFn deliver)
+                    DeliverFn deliver,
+                    sim::ByzantineOptions byzantine = sim::ByzantineOptions{})
       : exec_(&executor),
         net_(&transport),
         self_(self),
@@ -147,7 +146,8 @@ class ReliableBroadcast {
         deliver_(std::move(deliver)),
         delivered_count_(cluster_size, 0),
         store_(cluster_size),
-        seen_extra_(cluster_size) {
+        seen_extra_(cluster_size),
+        byzantine_(byzantine) {
     net_->register_node(self_,
                         [this](const runtime::Message& m) { on_message(m); });
   }
@@ -290,7 +290,7 @@ class ReliableBroadcast {
   /// digest/repair path (after amnesia the first digest is all zeros, so
   /// peers resend everything they hold). The one exception is the stable
   /// outbox: this node's own wires are written (and synced) before their
-  /// external actions fire (see sim/crash.hpp), so the outbox is complete
+  /// external actions fire (see sim::RecoveryMode), so the outbox is complete
   /// even when the merged log is not. Own wires past keep[self] are
   /// re-accepted below, re-announcing them to the cluster, and the complete
   /// outbox stays available for peer repair.
@@ -438,7 +438,7 @@ class ReliableBroadcast {
   /// duplicate each incoming wire before accept(). An unarmed endpoint
   /// takes the straight accept() path and draws no adversary randomness.
   void ingest_wire(const Wire& wire) {
-    const sim::ByzantineOptions& byz = options_.byzantine;
+    const sim::ByzantineOptions& byz = byzantine_;
     if (!byz.enabled) {
       accept(wire);
       return;
@@ -752,13 +752,13 @@ class ReliableBroadcast {
       std::vector<std::map<std::uint64_t, Held>>(store_.size());
   std::uint64_t arrivals_ = 0;
 
-  // Byzantine adversary state — inert unless options_.byzantine.enabled.
-  // Its RNG is separate from rng_ (anti-entropy peer choice) and seeded
-  // from the adversary's own config, so arming it never shifts the
-  // protocol's draw stream, and an unarmed run draws nothing at all.
+  // Byzantine adversary state — inert unless byzantine_.enabled. Its RNG
+  // is separate from rng_ (anti-entropy peer choice) and seeded from the
+  // adversary's own config, so arming it never shifts the protocol's draw
+  // stream, and an unarmed run draws nothing at all.
+  sim::ByzantineOptions byzantine_;
   CorruptFn corrupt_fn_;
-  sim::Rng byz_rng_{options_.byzantine.seed ^
-                    (0x9E3779B97F4A7C15ull * (self_ + 1))};
+  sim::Rng byz_rng_{byzantine_.seed ^ (0x9E3779B97F4A7C15ull * (self_ + 1))};
   /// Previously seen payloads retained as corruption donors.
   static constexpr std::size_t kStashCapacity = 16;
   std::vector<Payload> stash_;   ///< Donor pool (bounded ring).

@@ -15,7 +15,6 @@
 #include <string_view>
 
 #include "sim/delay.hpp"
-#include "sim/partition.hpp"
 
 namespace obs {
 
@@ -59,10 +58,11 @@ enum class EventType : std::uint8_t {
                          ///< replay count in EngineStats::checkpoints_taken
                          ///< but record no event.
   kCheckpointInvalidate, ///< a = checkpoints dropped.
-  // shard/node + sim/crash — fault injection.
+  // shard/node — Node::crash and Node::restart.
   kCrash,                ///< Node went down.
   kRestart,              ///< Node came back; a = RecoveryMode.
-  // sim/partition — cut lifecycle (control track; a = event index).
+  // shard/cluster — a sim::FaultPlan cut opening and healing (control
+  // track; a = the cut's index in the plan).
   kPartitionOpen,
   kPartitionHeal,
   // net/broadcast Byzantine adversary — receive-path payload tampering

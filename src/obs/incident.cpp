@@ -92,6 +92,11 @@ IncidentReport IncidentReport::build(std::string title,
   IncidentReport report;
   report.title_ = std::move(title);
   report.epochs_ = EpochIndex::build(events);
+  for (const Event& e : events) {
+    if (e.node != kControlNode) {
+      report.nodes_ = std::max<std::size_t>(report.nodes_, e.node + 1);
+    }
+  }
   const CausalGraph graph = CausalGraph::build(events);
   const FlameProfile flame = FlameProfile::build(events, graph, report.epochs_);
 
@@ -291,6 +296,7 @@ std::string IncidentReport::folded() const {
 }
 
 std::string IncidentReport::render() const {
+  if (incidents_.empty()) return {};
   std::ostringstream os;
   os << "incident report: " << (title_.empty() ? "check" : title_) << " — "
      << incidents_.size() << " incident(s)\n";
@@ -320,6 +326,11 @@ std::string IncidentReport::render() const {
          << "us merge=" << inc.timing.crit_merge_us
          << "us dominant=" << inc.timing.dominant
          << " replicas=" << inc.timing.replicas << '\n';
+      os << "   provenance:\n";
+      std::istringstream lines(inc.timing.render_provenance(nodes_));
+      for (std::string line; std::getline(lines, line);) {
+        os << "     " << line << '\n';
+      }
     }
     if (!inc.contributors.empty()) {
       os << "   contributing updates (" << inc.contributors.size() << "):\n";

@@ -119,9 +119,11 @@ class IncidentReport {
   /// a violating-vs-overall flame comparison.
   std::string folded() const;
 
-  /// Human-readable rendering (what analysis::trace_dump prints): one
-  /// block per incident — attribution line, critical path, contributors,
-  /// causal chain, trace window.
+  /// Human-readable rendering: one block per incident — attribution line,
+  /// critical path, per-replica provenance (every node track the stream
+  /// carries, so a replica that never delivered the update shows as
+  /// such), contributors, causal chain, trace window. Empty report =>
+  /// empty string.
   std::string render() const;
 
  private:
@@ -129,6 +131,7 @@ class IncidentReport {
   std::vector<Incident> incidents_;
   EpochIndex epochs_;
   MetricsRegistry metrics_;
+  std::size_t nodes_ = 0;  ///< Node tracks in the stream (provenance rows).
 };
 
 }  // namespace obs

@@ -16,8 +16,8 @@
 // Tracer, and ShardedTracer (sharded_tracer.hpp) — one Tracer ring per
 // node, merged on demand; both cluster drivers trace through the latter.
 // Components always record through a concrete Tracer* (their own shard);
-// only consumers that *read* the stream (trace dumps, exporters, pinning)
-// go through the interface.
+// only consumers that *read* the stream (incident bundles, exporters,
+// pinning) go through the interface.
 #pragma once
 
 #include <atomic>
@@ -60,9 +60,9 @@ struct TraceOptions {
 
 /// A ring slice captured at the moment a violation was detected, keyed by
 /// the offending update's timestamp. The streaming checkers pin these so a
-/// later trace_dump does not depend on the ring still holding the window —
-/// without pinning, a busy run can wrap the ring between violation and
-/// dump and the counter-example window silently comes back empty.
+/// later incident bundle does not depend on the ring still holding the
+/// window — without pinning, a busy run can wrap the ring between violation
+/// and rendering and the counter-example window silently comes back empty.
 struct PinnedWindow {
   std::uint64_t ts_logical = 0;
   sim::NodeId ts_node = 0;

@@ -27,7 +27,6 @@
 #include <functional>
 
 #include "sim/delay.hpp"
-#include "sim/partition.hpp"
 
 namespace runtime {
 

@@ -3,7 +3,8 @@
 // sim::Scheduler is the simulator's runtime::Executor and sim::Network its
 // runtime::Transport, so protocol code runs on them directly — same RNG
 // draw order, same (time, seq) event order, same message ids as code
-// written against the simulator itself. SimBackend owns the two and
+// written against the simulator itself. SimBackend owns the two, hands the
+// network the run's fault plan (whose cuts it tests at send time), and
 // installs the observation hooks on them; the simulator dispatches every
 // node on one logical worker, so one scheduler serves all nodes.
 #pragma once
@@ -12,6 +13,7 @@
 #include <utility>
 
 #include "runtime/hooks.hpp"
+#include "sim/fault_plan.hpp"
 #include "sim/network.hpp"
 #include "sim/scheduler.hpp"
 
@@ -19,8 +21,9 @@ namespace runtime {
 
 class SimBackend {
  public:
-  SimBackend(sim::Network::Config network, std::uint64_t seed)
-      : network_(scheduler_, std::move(network), seed) {}
+  SimBackend(sim::Network::Config network, std::uint64_t seed,
+             sim::FaultPlan faults = sim::FaultPlan{})
+      : network_(scheduler_, std::move(network), seed, std::move(faults)) {}
 
   SimBackend(const SimBackend&) = delete;
   SimBackend& operator=(const SimBackend&) = delete;

@@ -46,11 +46,12 @@ struct ClusterConfig {
   /// Discard obsolete information ([SL]): fold cluster-stable log
   /// prefixes into the base state.
   bool compaction = false;
-  /// Fault injection, expressed as one composable plan (sim/fault_plan.hpp):
-  /// crash/restart windows (durable, amnesia, or stale-disk recovery),
-  /// partition cuts (folded into the network schedule at construction),
-  /// correlated rack power losses, rolling restarts, and mid-broadcast
-  /// crashes at the write-ahead intention-log boundary. The network
+  /// Fault injection, expressed as one composable plan (sim/fault_plan.hpp)
+  /// and configured nowhere else: crash/restart windows (durable, amnesia,
+  /// or stale-disk recovery), partition cuts (tested by the network at send
+  /// time), correlated rack power losses, rolling restarts, mid-broadcast
+  /// crashes at the write-ahead intention-log boundary, and the Byzantine
+  /// payload adversary (handed to every broadcast endpoint). The network
   /// refuses delivery to down nodes; submissions reaching them are
   /// rejected and counted, never silently executed.
   sim::FaultPlan faults;
@@ -86,7 +87,7 @@ class Cluster {
   using Config = ClusterConfig;
 
   explicit Cluster(Config config)
-      : config_(fold_faults(std::move(config))),
+      : config_(std::move(config)),
         master_rng_(config_.seed),
         // One bounded ring per node plus a control shard, merged on demand.
         tracer_(config_.trace.enabled
@@ -95,7 +96,7 @@ class Cluster {
                     : nullptr),
         // The network's seed is the master's first fork; each node's
         // follows, in node order.
-        backend_(config_.network, master_rng_.fork_seed()) {
+        backend_(config_.network, master_rng_.fork_seed(), config_.faults) {
     validate_faults();
     if (tracer_) {
       // Dispatches and message fates go to the trace shards.
@@ -103,7 +104,7 @@ class Cluster {
           trace_hooks(*tracer_, [this] { return scheduler().now(); }));
       // Partition lifecycle markers: cuts are config, not messages, so no
       // component sees them open/heal — mark the boundaries explicitly.
-      const auto& cuts = config_.network.partitions.events();
+      const auto& cuts = config_.faults.partitions();
       for (std::size_t k = 0; k < cuts.size(); ++k) {
         scheduler().schedule_at(cuts[k].start, [this, k] {
           tracer_->control_shard().record(obs::EventType::kPartitionOpen,
@@ -123,10 +124,10 @@ class Cluster {
           config_.num_nodes, config_.broadcast, config_.checkpoint_interval,
           master_rng_.fork_seed(), config_.compaction,
           tracer_ ? &tracer_->shard(static_cast<sim::NodeId>(i)) : nullptr,
-          config_.max_checkpoints));
+          config_.max_checkpoints, config_.faults.byzantine()));
     }
     for (auto& n : nodes_) n->start();
-    for (const sim::CrashEvent& ev : config_.faults.crashes().events()) {
+    for (const sim::CrashEvent& ev : config_.faults.crashes()) {
       if (ev.node >= nodes_.size()) throw std::out_of_range("crash: no such node");
       scheduler().schedule_at(ev.start, [this, node = ev.node] {
         nodes_[node]->crash(scheduler().now());
@@ -187,7 +188,7 @@ class Cluster {
   /// Advance simulated time, executing all events up to `t`.
   void run_until(sim::Time t) { scheduler().run_until(t); }
 
-  /// Run past the end of the partition and crash schedules plus enough
+  /// Run past the fault plan's last heal and restart plus enough
   /// anti-entropy rounds for every node to learn every update. Throws if
   /// convergence is not reached within `max_time` (which would indicate a
   /// protocol bug, a permanent partition, or a never-restarted node).
@@ -195,9 +196,7 @@ class Cluster {
     // Mid-broadcast crashes are dynamic (they fire when the broadcast
     // happens, if ever) and so not part of this bound; the convergence loop
     // below steps past their restarts.
-    const sim::Time heal =
-        std::max(config_.network.partitions.last_heal_time(),
-                 config_.faults.last_restart_time());
+    const sim::Time heal = config_.faults.all_clear_time();
     if (scheduler().now() < heal) run_until(heal);
     const sim::Time step =
         config_.broadcast.anti_entropy_interval > 0.0
@@ -370,12 +369,11 @@ class Cluster {
   /// are dynamic and record their samples from the hook instead.
   void arm_metrics_series() {
     std::vector<sim::Time> at;
-    for (const sim::PartitionEvent& ev :
-         config_.network.partitions.events()) {
+    for (const sim::PartitionEvent& ev : config_.faults.partitions()) {
       at.push_back(ev.start);
       at.push_back(ev.end);
     }
-    for (const sim::CrashEvent& ev : config_.faults.crashes().events()) {
+    for (const sim::CrashEvent& ev : config_.faults.crashes()) {
       at.push_back(ev.start);
       at.push_back(ev.end);
     }
@@ -397,21 +395,6 @@ class Cluster {
     s.time = scheduler().now();
     s.metrics = base_metrics();
     series_.push_back(std::move(s));
-  }
-
-  /// Fold the fault plan into the layers that execute it: its partition
-  /// cuts into the network's schedule (the plan is the single user-facing
-  /// fault surface; the network keeps consulting its own config at send
-  /// time), and its Byzantine payload adversary into the broadcast options
-  /// (executed by each node's broadcast receive path).
-  static Config fold_faults(Config config) {
-    for (const sim::PartitionEvent& ev : config.faults.partitions().events()) {
-      config.network.partitions.add(ev);
-    }
-    if (config.faults.byzantine().enabled) {
-      config.broadcast.byzantine = config.faults.byzantine();
-    }
-    return config;
   }
 
   /// Reject fault/config combinations that would break recovery, up front
@@ -439,7 +422,7 @@ class Cluster {
             "stale-disk recovery requires causal broadcast");
       }
     };
-    for (const sim::CrashEvent& ev : config_.faults.crashes().events()) {
+    for (const sim::CrashEvent& ev : config_.faults.crashes()) {
       check(ev.mode);
     }
     for (const sim::MidBroadcastCrash& mb :

@@ -30,7 +30,7 @@
 #include "obs/tracer.hpp"
 #include "runtime/api.hpp"
 #include "shard/update_log.hpp"
-#include "sim/crash.hpp"
+#include "sim/fault_plan.hpp"
 
 namespace obs {
 class MetricsRegistry;
@@ -77,12 +77,14 @@ class Node {
   /// The node runs against the redesigned execution API — an Executor for
   /// its clock/timers and a Transport for the broadcast layer's datagrams —
   /// so the same protocol code drives the deterministic simulator and the
-  /// threaded runtime.
+  /// threaded runtime. `byzantine` is the fault plan's receive-path
+  /// adversary, handed to the broadcast endpoint (unarmed by default).
   Node(core::NodeId id, runtime::Executor& executor,
        runtime::Transport& transport, std::size_t cluster_size,
        net::BroadcastOptions broadcast_options, std::size_t checkpoint_interval,
        std::uint64_t seed, bool enable_compaction = false,
-       obs::Tracer* tracer = nullptr, std::size_t max_checkpoints = 0)
+       obs::Tracer* tracer = nullptr, std::size_t max_checkpoints = 0,
+       sim::ByzantineOptions byzantine = sim::ByzantineOptions{})
       : id_(id),
         clock_(id),
         log_(checkpoint_interval, max_checkpoints),
@@ -94,10 +96,11 @@ class Node {
                    seed,
                    [this](const typename Broadcast::Wire& wire) {
                      on_deliver(wire);
-                   }) {
+                   },
+                   byzantine) {
     log_.set_tracer(tracer_, id_, [this] { return exec_->now(); });
     broadcast_.set_tracer(tracer_);
-    if (broadcast_options.byzantine.enabled) {
+    if (byzantine.enabled) {
       // Timestamp-preserving corruption: substitute only the update field,
       // so the tampered entry still merges at its legitimate position
       // (a forged timestamp would trip UpdateLog's uniqueness invariant
@@ -508,8 +511,8 @@ class Node {
   std::vector<Record> originated_;
   std::vector<Announcement> peer_announcements_;
   std::deque<PendingSerial> pending_;
-  // Crash/recovery (sim/crash.hpp): down_ gates every activity; the rest is
-  // recovery-window instrumentation.
+  // Crash/recovery (sim::RecoveryMode): down_ gates every activity; the
+  // rest is recovery-window instrumentation.
   bool down_ = false;
   bool catching_up_ = false;
   sim::Time down_since_ = 0.0;

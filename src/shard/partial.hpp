@@ -39,6 +39,7 @@
 #include "core/timestamp.hpp"
 #include "net/broadcast.hpp"
 #include "shard/update_log.hpp"
+#include "sim/fault_plan.hpp"
 #include "sim/network.hpp"
 #include "sim/scheduler.hpp"
 
@@ -112,7 +113,10 @@ struct GroupStateMachine {
 /// net::ReliableBroadcast, in non-causal mode (arrival order, at most once):
 /// group g's replicas are ranks 0..r-1 of their own sim::Network on the
 /// shared scheduler, so a write reaches only the nodes hosting its group,
-/// and dedup, repair and anti-entropy are the full-replication code.
+/// and dedup, repair and anti-entropy are the full-replication code. The
+/// fault plan's cuts reach each group's network restricted to its replicas;
+/// a partial cluster has no crash or adversary path, so a plan holding
+/// either is rejected at construction.
 template <PartialApplication A>
 class PartialCluster {
  public:
@@ -125,6 +129,8 @@ class PartialCluster {
     std::size_t num_groups = 8;
     std::size_t replication_factor = 2;
     sim::Network::Config network;
+    /// Partition cuts only (see the class comment).
+    sim::FaultPlan faults;
     sim::Time anti_entropy_interval = 0.5;
     std::uint64_t seed = 1;
   };
@@ -156,6 +162,13 @@ class PartialCluster {
         config_.replication_factor > config_.num_nodes) {
       throw std::invalid_argument("replication factor out of range");
     }
+    if (!config_.faults.crashes().empty() ||
+        !config_.faults.mid_broadcast_crashes().empty() ||
+        config_.faults.byzantine().enabled) {
+      throw std::invalid_argument(
+          "PartialCluster executes partition cuts only: no crash windows, "
+          "mid-broadcast crashes or Byzantine adversary");
+    }
     for (core::NodeId n = 0; n < config_.num_nodes; ++n) {
       nodes_.push_back(std::make_unique<NodeState>(n));
     }
@@ -170,7 +183,7 @@ class PartialCluster {
             (g + j) % config_.num_nodes));
       }
       networks_.push_back(std::make_unique<sim::Network>(
-          scheduler_, group_network(g), rng_.fork_seed()));
+          scheduler_, config_.network, rng_.fork_seed(), group_faults(g)));
       const std::size_t r = replicas_[g].size();
       for (core::NodeId rank = 0; rank < r; ++rank) {
         NodeState& node = *nodes_[replicas_[g][rank]];
@@ -239,7 +252,7 @@ class PartialCluster {
   /// Drive anti-entropy past the last partition heal until every group's
   /// replicas agree.
   void settle(sim::Time max_time = 1e6) {
-    const sim::Time heal = config_.network.partitions.last_heal_time();
+    const sim::Time heal = config_.faults.last_heal_time();
     if (scheduler_.now() < heal) run_until(heal);
     const sim::Time step = config_.anti_entropy_interval > 0.0
                                ? 4.0 * config_.anti_entropy_interval
@@ -373,13 +386,12 @@ class PartialCluster {
     std::vector<Record> originated;
   };
 
-  /// config_.network with every partition cut restricted to g's replicas,
-  /// which the group's network knows by rank.
-  sim::Network::Config group_network(GroupId g) const {
-    sim::Network::Config cfg = config_.network;
-    cfg.partitions = {};
+  /// The plan's cuts restricted to g's replicas, which the group's network
+  /// knows by rank.
+  sim::FaultPlan group_faults(GroupId g) const {
+    sim::FaultPlan plan;
     const auto& reps = replicas_[g];
-    for (const sim::PartitionEvent& cut : config_.network.partitions.events()) {
+    for (const sim::PartitionEvent& cut : config_.faults.partitions()) {
       sim::PartitionEvent local{cut.start, cut.end, {}};
       for (const auto& side : cut.groups) {
         auto& ranks = local.groups.emplace_back();
@@ -389,9 +401,9 @@ class PartialCluster {
           }
         }
       }
-      cfg.partitions.add(std::move(local));
+      plan.partition(std::move(local));
     }
-    return cfg;
+    return plan;
   }
 
   Record run_at(core::NodeId node_id, const Request& request, sim::Time now) {

@@ -295,11 +295,12 @@ class UpdateLog {
     return n;
   }
 
-  /// Amnesia recovery (sim/crash.hpp): the merged log is volatile and did
-  /// not survive the crash. Reset to the application's initial state —
-  /// entries, checkpoints, compaction base, everything — so the node can
-  /// resynchronize from scratch. Counters are cumulative observability and
-  /// deliberately survive (the lifetime undo/redo work really happened).
+  /// Amnesia recovery (sim::RecoveryMode::kAmnesia): the merged log is
+  /// volatile and did not survive the crash. Reset to the application's
+  /// initial state — entries, checkpoints, compaction base, everything — so
+  /// the node can resynchronize from scratch. Counters are cumulative
+  /// observability and deliberately survive (the lifetime undo/redo work
+  /// really happened).
   void reset_to_initial() {
     store_.clear();
     base_ = App::initial();
@@ -310,9 +311,9 @@ class UpdateLog {
     checkpoints_.push_back(Checkpoint{0, base_});
   }
 
-  /// Stale-disk recovery (sim/crash.hpp, RecoveryMode::kStaleDisk): the
-  /// stable log survived the crash but its suffix past `keep_n` retained
-  /// entries was lost with the disk — roll back to that stale point. The
+  /// Stale-disk recovery (sim::RecoveryMode::kStaleDisk): the stable log
+  /// survived the crash but its suffix past `keep_n` retained entries was
+  /// lost with the disk — roll back to that stale point. The
   /// compaction base (cluster-stable prefix) is older than any surviving
   /// checkpoint and always survives; snapshots past the cut are dropped and
   /// the working state is rebuilt from the newest surviving one. Truncated

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <string>
 
@@ -18,6 +19,9 @@ namespace sim {
 
 /// Simulated time, in seconds.
 using Time = double;
+
+/// Identifies a node in the simulated cluster.
+using NodeId = std::uint32_t;
 
 /// Interface for one-way message latency distributions.
 class DelayModel {

@@ -6,11 +6,42 @@
 
 namespace sim {
 
+const char* to_string(RecoveryMode mode) {
+  switch (mode) {
+    case RecoveryMode::kDurable:
+      return "durable";
+    case RecoveryMode::kAmnesia:
+      return "amnesia";
+    case RecoveryMode::kStaleDisk:
+      return "stale-disk";
+  }
+  return "unknown";
+}
+
 FaultPlan::FaultPlan(std::uint64_t seed) : rng_(seed) {}
+
+bool FaultPlan::overlaps_crash(const CrashEvent& ev) const {
+  return std::any_of(crashes_.begin(), crashes_.end(),
+                     [&ev](const CrashEvent& prior) {
+                       return prior.node == ev.node && ev.start < prior.end &&
+                              prior.start < ev.end;
+                     });
+}
+
+void FaultPlan::add_crash(CrashEvent event) {
+  if (!(event.start < event.end)) {
+    throw std::invalid_argument("FaultPlan: empty down-window");
+  }
+  if (overlaps_crash(event)) {
+    throw std::invalid_argument(
+        "FaultPlan: overlapping down-windows for one node");
+  }
+  crashes_.push_back(event);
+}
 
 FaultPlan& FaultPlan::crash(NodeId node, Time start, Time end,
                             RecoveryMode mode) {
-  crashes_.add(CrashEvent{node, start, end, mode, 1.0});
+  add_crash(CrashEvent{node, start, end, mode, 1.0});
   return *this;
 }
 
@@ -25,7 +56,7 @@ FaultPlan& FaultPlan::disk_failure(NodeId node, Time start, Time end,
   if (keep_fraction < 0.0 || keep_fraction > 1.0) {
     throw std::invalid_argument("FaultPlan: keep_fraction outside [0, 1]");
   }
-  crashes_.add(
+  add_crash(
       CrashEvent{node, start, end, RecoveryMode::kStaleDisk, keep_fraction});
   return *this;
 }
@@ -55,7 +86,7 @@ FaultPlan& FaultPlan::crash_mid_broadcast(NodeId node,
 }
 
 FaultPlan& FaultPlan::partition(PartitionEvent event) {
-  partitions_.add(std::move(event));
+  partitions_.push_back(std::move(event));
   return *this;
 }
 
@@ -98,7 +129,7 @@ FaultPlan& FaultPlan::rack_power_loss(const std::vector<NodeId>& rack,
   }
   cut({rack, std::move(rest)}, start, end);
   for (NodeId node : rack) {
-    crashes_.add(CrashEvent{node, start, end, mode, 1.0});
+    add_crash(CrashEvent{node, start, end, mode, 1.0});
   }
   return *this;
 }
@@ -111,7 +142,7 @@ FaultPlan& FaultPlan::rolling_restart(NodeId cluster_size, Time start,
   }
   for (NodeId i = 0; i < cluster_size; ++i) {
     const Time s = start + static_cast<Time>(i) * (down_for + gap);
-    crashes_.add(CrashEvent{i, s, s + down_for, mode, 1.0});
+    add_crash(CrashEvent{i, s, s + down_for, mode, 1.0});
   }
   return *this;
 }
@@ -154,14 +185,7 @@ FaultPlan& FaultPlan::random_crashes(std::size_t nodes, Time horizon,
     } else {
       ev.mode = amnesia ? RecoveryMode::kAmnesia : RecoveryMode::kDurable;
     }
-    const auto& prior_events = crashes_.events();
-    const bool overlaps = std::any_of(
-        prior_events.begin(), prior_events.end(),
-        [&ev](const CrashEvent& prior) {
-          return prior.node == ev.node && ev.start < prior.end &&
-                 prior.start < ev.end;
-        });
-    if (!overlaps) crashes_.add(ev);
+    if (!overlaps_crash(ev)) add_crash(ev);
   }
   return *this;
 }
@@ -175,20 +199,19 @@ FaultPlan FaultPlan::chaos(std::uint64_t seed, std::size_t nodes, Time horizon,
   for (int e = 0; e < opt.partition_events; ++e) {
     plan.random_partitions(nodes, horizon, 1);
     if (!plan.rng_.bernoulli(opt.rack_loss_probability)) continue;
-    const PartitionEvent& cut = plan.partitions_.events().back();
+    const PartitionEvent& cut = plan.partitions_.back();
     const std::vector<NodeId>& rack = cut.groups[0].size() <=
                                               cut.groups[1].size()
                                           ? cut.groups[0]
                                           : cut.groups[1];
-    const auto& prior = plan.crashes_.events();
     const bool overlaps = std::any_of(
-        prior.begin(), prior.end(), [&](const CrashEvent& ev) {
+        plan.crashes_.begin(), plan.crashes_.end(), [&](const CrashEvent& ev) {
           return cut.start < ev.end && ev.start < cut.end &&
                  std::find(rack.begin(), rack.end(), ev.node) != rack.end();
         });
     if (overlaps) continue;
     for (NodeId node : rack) {
-      plan.crashes_.add(
+      plan.add_crash(
           CrashEvent{node, cut.start, cut.end, RecoveryMode::kDurable, 1.0});
     }
   }
@@ -224,19 +247,98 @@ FaultPlan& FaultPlan::byzantine_payload(double corrupt_probability,
   return *this;
 }
 
+bool FaultPlan::down(NodeId node, Time t) const {
+  return std::any_of(crashes_.begin(), crashes_.end(),
+                     [node, t](const CrashEvent& ev) {
+                       return ev.node == node && t >= ev.start && t < ev.end;
+                     });
+}
+
+bool FaultPlan::connected(NodeId a, NodeId b, Time t) const {
+  if (a == b) return true;
+  for (const PartitionEvent& ev : partitions_) {
+    if (t < ev.start || t >= ev.end) continue;
+    bool together = false;
+    for (const auto& group : ev.groups) {
+      const bool has_a =
+          std::find(group.begin(), group.end(), a) != group.end();
+      const bool has_b =
+          std::find(group.begin(), group.end(), b) != group.end();
+      if (has_a && has_b) {
+        together = true;
+        break;
+      }
+    }
+    if (!together) return false;
+  }
+  return true;
+}
+
+bool FaultPlan::partitioned_at(Time t) const {
+  return std::any_of(partitions_.begin(), partitions_.end(),
+                     [t](const PartitionEvent& ev) {
+                       return t >= ev.start && t < ev.end;
+                     });
+}
+
+Time FaultPlan::last_heal_time() const {
+  Time latest = 0.0;
+  for (const PartitionEvent& ev : partitions_) {
+    latest = std::max(latest, ev.end);
+  }
+  return latest;
+}
+
+Time FaultPlan::last_restart_time() const {
+  Time latest = 0.0;
+  for (const CrashEvent& ev : crashes_) latest = std::max(latest, ev.end);
+  return latest;
+}
+
 Time FaultPlan::all_clear_time() const {
-  return std::max(partitions_.last_heal_time(), crashes_.last_restart_time());
+  return std::max(last_heal_time(), last_restart_time());
+}
+
+Time FaultPlan::total_downtime() const {
+  Time total = 0.0;
+  for (const CrashEvent& ev : crashes_) total += ev.end - ev.start;
+  return total;
 }
 
 bool FaultPlan::empty() const {
-  return crashes_.empty() && partitions_.events().empty() && mid_.empty() &&
+  return crashes_.empty() && partitions_.empty() && mid_.empty() &&
          !byzantine_.enabled;
 }
 
 std::string FaultPlan::describe() const {
   if (empty()) return "no faults";
   std::ostringstream os;
-  os << crashes_.describe() << "; " << partitions_.describe();
+  if (crashes_.empty()) {
+    os << "no crashes";
+  } else {
+    os << crashes_.size() << " crash event(s): ";
+    for (std::size_t i = 0; i < crashes_.size(); ++i) {
+      const CrashEvent& ev = crashes_[i];
+      if (i > 0) os << "; ";
+      os << "node " << ev.node << " down [" << ev.start << "," << ev.end
+         << ") " << to_string(ev.mode);
+      if (ev.mode == RecoveryMode::kStaleDisk) {
+        os << " keep=" << ev.keep_fraction;
+      }
+    }
+  }
+  os << "; ";
+  if (partitions_.empty()) {
+    os << "no partitions";
+  } else {
+    os << partitions_.size() << " partition event(s): ";
+    for (std::size_t i = 0; i < partitions_.size(); ++i) {
+      const PartitionEvent& ev = partitions_[i];
+      if (i > 0) os << "; ";
+      os << "[" << ev.start << "," << ev.end << ")x" << ev.groups.size()
+         << " groups";
+    }
+  }
   if (!mid_.empty()) {
     os << "; " << mid_.size() << " mid-broadcast crash(es):";
     for (const MidBroadcastCrash& mb : mid_) {

@@ -1,17 +1,11 @@
-// Unified fault-injection plan (fault-injection v2).
+// Fault injection: one composable, seeded plan of every fault a run injects.
 //
-// The first-generation fault model threaded three parallel, unrelated
-// surfaces through Cluster/Scenario: sim::CrashSchedule for node crashes,
-// sim::PartitionSchedule for link cuts, and the delay/drop config on the
-// network. Faults that span those surfaces — a rack losing power is a
-// partition AND a set of simultaneous crashes — had no home, and every
-// caller that wanted "random chaos" reimplemented seeded generation by
-// hand.
-//
-// FaultPlan is the single composable surface: one builder that owns the
-// seed, the correlation between fault classes, and the full fault
-// vocabulary of the paper's availability story (section 1.2 continued
-// operation, section 3.3 undo/redo recovery):
+// SHARD's availability story (paper section 1.2) is continued operation
+// "in the face of communication failures, including network partitions",
+// and a crashed node is just a node nobody can communicate with until it
+// comes back. FaultPlan is the single place either is configured, along
+// with the section 3.3 undo/redo recovery shapes and a receive-path
+// adversary:
 //
 //   plan.crash(node, start, end[, mode])      — clean crash/restart window
 //   plan.disk_failure(node, start, end)       — restart from a *stale*
@@ -37,10 +31,12 @@
 //                                               update payloads at the
 //                                               broadcast layer
 //
-// Cluster and Scenario accept one FaultPlan. The underlying CrashSchedule /
-// PartitionSchedule types persist as the plan's storage (and the network's
-// partition oracle); their standalone convenience builders and the adopt()
-// migration shims were removed after their one-release deprecation window.
+// Each layer reads the plan directly: sim::Network tests its cuts at send
+// time, shard::Cluster schedules its crash windows and arms its
+// mid-broadcast crashes, and every broadcast endpoint gets its adversary.
+// Messages a cut swallows come back through anti-entropy after the heal —
+// the [GLBKSS] guarantee that "barring permanent communication failures,
+// every node will eventually receive information about every transaction".
 //
 // Everything is deterministic: the plan's RNG is seeded at construction and
 // consumed only by builder calls, so an identical call sequence yields an
@@ -51,11 +47,63 @@
 #include <string>
 #include <vector>
 
-#include "sim/crash.hpp"
-#include "sim/partition.hpp"
+#include "sim/delay.hpp"
 #include "sim/rng.hpp"
 
 namespace sim {
+
+/// How a node comes back from a crash:
+///
+///   * kDurable — the node recovers its merged log from stable storage
+///     (modeled as: the UpdateLog survives; conceptually the last
+///     checkpoint plus the log suffix is replayed from disk) and catches up
+///     on whatever it missed through the usual anti-entropy digests.
+///   * kAmnesia — the node loses all volatile replication state (merged
+///     log, delivery vectors, peer promises) and rebuilds from the initial
+///     state by resynchronizing every update from its own stable outbox and
+///     its peers. Only the minimal stable-storage footprint survives: the
+///     node's own transaction records (timestamps, updates, fired external
+///     actions), written before external actions fire so that decisions are
+///     never re-run and external actions never re-fired (section 1.2).
+///   * kStaleDisk — stable storage survives but lost its recent suffix (a
+///     disk that dropped un-synced writes): the node resumes from a *stale*
+///     checkpoint, keeping only a seeded fraction of its merged log, and
+///     re-merges the lost tail through outbox replay and anti-entropy —
+///     the deep undo/redo recovery path of section 3.3.
+enum class RecoveryMode {
+  kDurable,    ///< merged log survives; catch up on the missed suffix only
+  kAmnesia,    ///< volatile state lost; resync everything from peers/outbox
+  kStaleDisk,  ///< log suffix lost; resume from a stale checkpoint + repair
+};
+
+/// "durable" / "amnesia" / "stale-disk" — shared by describe() and the
+/// trace exporters.
+const char* to_string(RecoveryMode mode);
+
+/// One down-window: `node` crashes at `start` and restarts at `end` with
+/// `mode`. While down the node executes nothing, receives nothing, and
+/// rejects submissions.
+struct CrashEvent {
+  NodeId node = 0;
+  Time start = 0.0;
+  Time end = 0.0;
+  RecoveryMode mode = RecoveryMode::kDurable;
+  /// kStaleDisk only: the fraction of the merged log that survived the disk
+  /// failure (the rest is truncated at restart). FaultPlan::disk_failure
+  /// draws this from the plan's seeded RNG unless given explicitly.
+  double keep_fraction = 1.0;
+};
+
+/// One timed cut: during [start, end) the node set is split into `groups`;
+/// two nodes communicate only if some group contains both. Nodes absent from
+/// every group are isolated for the duration. Overlapping cuts compose
+/// conjunctively: a pair is connected only if every active cut keeps it
+/// together.
+struct PartitionEvent {
+  Time start = 0.0;
+  Time end = 0.0;
+  std::vector<std::vector<NodeId>> groups;
+};
 
 /// A crash triggered when `node` performs its `broadcast_seq`-th broadcast
 /// (1-based, counting the node's own originated updates): the node goes
@@ -208,32 +256,43 @@ class FaultPlan {
 
   // --- queries ---------------------------------------------------------
 
-  bool down(NodeId node, Time t) const { return crashes_.down(node, t); }
-  bool connected(NodeId a, NodeId b, Time t) const {
-    return partitions_.connected(a, b, t);
-  }
-  bool partitioned_at(Time t) const { return partitions_.partitioned_at(t); }
-  Time last_heal_time() const { return partitions_.last_heal_time(); }
-  Time last_restart_time() const { return crashes_.last_restart_time(); }
+  /// Is `node` inside one of its crash windows at time t?
+  bool down(NodeId node, Time t) const;
+  /// Are a and b connected at time t (every active cut keeps them in one
+  /// group)? The network asks this at send time.
+  bool connected(NodeId a, NodeId b, Time t) const;
+  /// Is any cut active at time t?
+  bool partitioned_at(Time t) const;
+  /// Latest cut end (0 if none): after it the network is whole again.
+  Time last_heal_time() const;
+  /// Latest crash-window end (0 if none): after it every node is up again.
+  Time last_restart_time() const;
   /// Max of last heal and last scheduled restart. Mid-broadcast crashes are
   /// dynamic (they fire when the broadcast happens, if ever) and are not
   /// included; Cluster::settle()'s convergence loop covers them.
   Time all_clear_time() const;
-  Time total_downtime() const { return crashes_.total_downtime(); }
+  /// Crash-window time summed over all windows.
+  Time total_downtime() const;
   bool empty() const;
   std::string describe() const;
 
-  const CrashSchedule& crashes() const { return crashes_; }
-  const PartitionSchedule& partitions() const { return partitions_; }
+  const std::vector<CrashEvent>& crashes() const { return crashes_; }
+  const std::vector<PartitionEvent>& partitions() const { return partitions_; }
   const std::vector<MidBroadcastCrash>& mid_broadcast_crashes() const {
     return mid_;
   }
   const ByzantineOptions& byzantine() const { return byzantine_; }
 
  private:
+  /// Append a crash window. Throws std::invalid_argument on an empty window
+  /// or one overlapping an earlier window of the same node.
+  void add_crash(CrashEvent event);
+  /// Does `ev` overlap an earlier window of the same node?
+  bool overlaps_crash(const CrashEvent& ev) const;
+
   Rng rng_;
-  CrashSchedule crashes_;
-  PartitionSchedule partitions_;
+  std::vector<CrashEvent> crashes_;
+  std::vector<PartitionEvent> partitions_;
   std::vector<MidBroadcastCrash> mid_;
   ByzantineOptions byzantine_;
 };

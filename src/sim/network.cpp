@@ -29,7 +29,7 @@ std::uint64_t Network::send(NodeId src, NodeId dst, std::any payload) {
   // A cut active at send time swallows the message. The paper's broadcast
   // layer is responsible for eventual delivery via retransmission, so loss
   // here is exactly the failure the correctness conditions must tolerate.
-  if (!config_.partitions.connected(src, dst, sched_.now())) {
+  if (!faults_.connected(src, dst, sched_.now())) {
     ++stats_.dropped_partition;
     if (on_fate_) on_fate_(src, dst, 0, Fate::kDroppedPartition);
     return 0;

@@ -2,7 +2,8 @@
 //
 // Models the unreliable datagram substrate underneath the [GLBKSS] reliable
 // broadcast: per-message sampled latency, optional random loss, and loss of
-// every message whose send time falls inside an active partition cut.
+// every message whose send time falls inside an active cut of the fault
+// plan the network is built with.
 // Payloads are type-erased (std::any) so the non-template network can carry
 // any application's update envelopes.
 #pragma once
@@ -14,7 +15,7 @@
 
 #include "runtime/hooks.hpp"
 #include "sim/delay.hpp"
-#include "sim/partition.hpp"
+#include "sim/fault_plan.hpp"
 #include "sim/rng.hpp"
 #include "sim/scheduler.hpp"
 
@@ -36,17 +37,22 @@ struct NetworkStats {
 ///
 /// One instance serves the whole cluster. Each node registers a receive
 /// handler; `send` samples a latency from the delay model and schedules
-/// delivery, unless the message is lost to a partition cut or random drop.
+/// delivery, unless the message is lost to a cut of `faults` or a random
+/// drop. Only the plan's cuts are read here; its crash windows reach the
+/// network through set_node_down.
 class Network final : public runtime::Transport {
  public:
   struct Config {
     Delay delay = Delay::constant(0.01);
     double drop_probability = 0.0;
-    PartitionSchedule partitions;
   };
 
-  Network(Scheduler& sched, Config config, std::uint64_t seed)
-      : sched_(sched), config_(std::move(config)), rng_(seed) {}
+  Network(Scheduler& sched, Config config, std::uint64_t seed,
+          FaultPlan faults = FaultPlan{})
+      : sched_(sched),
+        config_(std::move(config)),
+        faults_(std::move(faults)),
+        rng_(seed) {}
 
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
@@ -67,7 +73,7 @@ class Network final : public runtime::Transport {
   /// Mark a node crashed/restarted. While down the node neither sends nor
   /// receives: sends from/to it are dropped at send time, and in-flight
   /// messages addressed to it are dropped at delivery time. Driven by
-  /// Node::crash()/restart() (single source of truth — the schedule only
+  /// Node::crash()/restart() (single source of truth — the fault plan only
   /// decides *when* the cluster calls those).
   void set_node_down(NodeId node, bool down) override;
 
@@ -89,6 +95,7 @@ class Network final : public runtime::Transport {
  private:
   Scheduler& sched_;
   Config config_;
+  FaultPlan faults_;
   Rng rng_;
   std::vector<Handler> handlers_;
   std::vector<char> down_;  ///< down_[n]: node n is currently crashed

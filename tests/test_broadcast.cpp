@@ -29,8 +29,10 @@ struct Harness {
   std::vector<std::unique_ptr<Rb>> nodes;
   std::vector<std::vector<Payload>> delivered;
 
-  Harness(std::size_t n, sim::Network::Config cfg, net::BroadcastOptions opts) {
-    net = std::make_unique<sim::Network>(sched, std::move(cfg), 7);
+  Harness(std::size_t n, sim::Network::Config cfg, net::BroadcastOptions opts,
+          sim::FaultPlan faults = sim::FaultPlan{}) {
+    net = std::make_unique<sim::Network>(sched, std::move(cfg), 7,
+                                         std::move(faults));
     delivered.resize(n);
     // The scheduler and network are the runtime Executor and Transport.
     for (sim::NodeId i = 0; i < n; ++i) {
@@ -86,15 +88,12 @@ TEST(Broadcast, CausalDeliveryOrdersDependentMessages) {
   // arrives via anti-entropy.
   sim::Network::Config cfg;
   cfg.delay = sim::Delay::constant(0.01);
-  sim::PartitionEvent ev;
-  ev.start = 0.0;
-  ev.end = 1.0;
-  ev.groups = {{0, 1}, {1, 2}};  // 0-2 cut; both can talk to 1
-  cfg.partitions.add(ev);
+  sim::FaultPlan faults;
+  faults.cut({{0, 1}, {1, 2}}, 0.0, 1.0);  // 0-2 cut; both can talk to 1
   net::BroadcastOptions opts;
   opts.causal = true;
   opts.anti_entropy_interval = 0.3;
-  Harness h(3, cfg, opts);
+  Harness h(3, cfg, opts, faults);
   h.nodes[0]->broadcast("m0");
   h.sched.run_until(0.05);  // node 1 has m0 now
   ASSERT_EQ(h.delivered[1].size(), 1u);
@@ -111,16 +110,12 @@ TEST(Broadcast, CausalDeliveryOrdersDependentMessages) {
 }
 
 TEST(Broadcast, NonCausalModeDeliversInArrivalOrder) {
-  sim::Network::Config cfg;
-  sim::PartitionEvent ev;
-  ev.start = 0.0;
-  ev.end = 1.0;
-  ev.groups = {{0, 1}, {1, 2}};
-  cfg.partitions.add(ev);
+  sim::FaultPlan faults;
+  faults.cut({{0, 1}, {1, 2}}, 0.0, 1.0);
   net::BroadcastOptions opts;
   opts.causal = false;
   opts.anti_entropy_interval = 0.3;
-  Harness h(3, cfg, opts);
+  Harness h(3, {}, opts, faults);
   h.nodes[0]->broadcast("m0");
   h.sched.run_until(0.05);
   h.nodes[1]->broadcast("m1");
@@ -134,11 +129,9 @@ TEST(Broadcast, NonCausalModeDeliversInArrivalOrder) {
 }
 
 TEST(Broadcast, AntiEntropyRecoversFromFullPartition) {
-  sim::Network::Config cfg;
-  cfg.partitions = sim::FaultPlan{}.split_halves(4, 2, 0.0, 10.0).partitions();
   net::BroadcastOptions opts;
   opts.anti_entropy_interval = 0.5;
-  Harness h(4, cfg, opts);
+  Harness h(4, {}, opts, sim::FaultPlan{}.split_halves(4, 2, 0.0, 10.0));
   // Both sides broadcast during the partition.
   h.nodes[0]->broadcast("left");
   h.nodes[3]->broadcast("right");
@@ -190,12 +183,10 @@ TEST(Broadcast, BoundedRepairConvergesViaContinuationDigests) {
   // A long partition accumulates 30 missing payloads on each side; with a
   // cap of 3 per repair reply, recovery proceeds as a chain of truncated
   // batches and immediate continuation digests instead of one giant burst.
-  sim::Network::Config cfg;
-  cfg.partitions = sim::FaultPlan{}.split_halves(4, 2, 0.0, 10.0).partitions();
   net::BroadcastOptions opts;
   opts.anti_entropy_interval = 0.5;
   opts.max_repairs_per_message = 3;
-  Harness h(4, cfg, opts);
+  Harness h(4, {}, opts, sim::FaultPlan{}.split_halves(4, 2, 0.0, 10.0));
   for (int i = 0; i < 30; ++i) {
     h.nodes[static_cast<std::size_t>(i % 2)]->broadcast("L" +
                                                         std::to_string(i));
@@ -250,13 +241,11 @@ TEST(Broadcast, PrunedStoreStillRepairsAPartitionedPeer) {
   // Pruning keys off received digests, so a partitioned peer (which cannot
   // digest) implicitly pins the store: after the heal everything it lacks
   // is still repairable.
-  sim::Network::Config cfg;
-  cfg.partitions =
-      sim::FaultPlan{}.split_halves(3, 1, 0.0, 8.0).partitions();  // {0} vs {1, 2}
   net::BroadcastOptions opts;
   opts.anti_entropy_interval = 0.3;
   opts.prune_repair_store = true;
-  Harness h(3, cfg, opts);
+  Harness h(3, {}, opts,
+            sim::FaultPlan{}.split_halves(3, 1, 0.0, 8.0));  // {0} vs {1, 2}
   for (int i = 0; i < 12; ++i) {
     h.nodes[static_cast<std::size_t>(1 + i % 2)]->broadcast(
         "p" + std::to_string(i));

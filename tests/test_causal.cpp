@@ -509,13 +509,13 @@ TEST_P(CausalChaos, InvariantsHoldUnderRandomFailures) {
   harness::Scenario sc;
   sc.name = "causal-chaos";
   sc.num_nodes = nodes;
-  sc.delay = sim::Delay::exponential(rng.uniform(0.005, 0.05),
-                                     rng.uniform(0.05, 0.3), 5.0);
-  sc.drop_probability = rng.uniform(0.0, 0.3);
+  sc.network.delay = sim::Delay::exponential(rng.uniform(0.005, 0.05),
+                                             rng.uniform(0.05, 0.3), 5.0);
+  sc.network.drop_probability = rng.uniform(0.0, 0.3);
   sc.faults = sim::FaultPlan(GetParam() ^ 0x9afb);
   sc.faults.random_partitions(nodes, horizon,
                               static_cast<int>(rng.uniform_int(0, 3)));
-  sc.anti_entropy_interval = rng.uniform(0.2, 0.8);
+  sc.broadcast.anti_entropy_interval = rng.uniform(0.2, 0.8);
   sc.trace.enabled = true;
 
   shard::Cluster<Air> cluster(sc.cluster_config<Air>(GetParam() ^ 0xc4a0));
@@ -549,9 +549,9 @@ TEST_P(CausalCrashChaos, InvariantsHoldUnderCrashesAndPartitions) {
   harness::Scenario sc;
   sc.name = "causal-crash-chaos";
   sc.num_nodes = nodes;
-  sc.delay = sim::Delay::exponential(rng.uniform(0.005, 0.05),
-                                     rng.uniform(0.05, 0.3), 5.0);
-  sc.drop_probability = rng.uniform(0.0, 0.25);
+  sc.network.delay = sim::Delay::exponential(rng.uniform(0.005, 0.05),
+                                             rng.uniform(0.05, 0.3), 5.0);
+  sc.network.drop_probability = rng.uniform(0.0, 0.25);
   sc.faults = sim::FaultPlan(GetParam() ^ 0x37c1);
   sc.faults.random_partitions(nodes, horizon,
                               static_cast<int>(rng.uniform_int(0, 3)));
@@ -559,7 +559,7 @@ TEST_P(CausalCrashChaos, InvariantsHoldUnderCrashesAndPartitions) {
                            static_cast<int>(rng.uniform_int(1, 4)),
                            /*min_down=*/1.0, /*max_down=*/6.0,
                            /*amnesia_probability=*/0.5);
-  sc.anti_entropy_interval = rng.uniform(0.2, 0.8);
+  sc.broadcast.anti_entropy_interval = rng.uniform(0.2, 0.8);
   sc.trace.enabled = true;
 
   shard::Cluster<Air> cluster(sc.cluster_config<Air>(GetParam() ^ 0xc4a5));

@@ -36,13 +36,13 @@ TEST_P(Chaos, FullGuaranteeStackUnderRandomFailures) {
   harness::Scenario sc;
   sc.name = "chaos";
   sc.num_nodes = nodes;
-  sc.delay = sim::Delay::exponential(rng.uniform(0.005, 0.05),
-                                     rng.uniform(0.05, 0.3), 5.0);
-  sc.drop_probability = rng.uniform(0.0, 0.3);
+  sc.network.delay = sim::Delay::exponential(rng.uniform(0.005, 0.05),
+                                             rng.uniform(0.05, 0.3), 5.0);
+  sc.network.drop_probability = rng.uniform(0.0, 0.3);
   sc.faults = sim::FaultPlan(GetParam() ^ 0x9afb);
   sc.faults.random_partitions(nodes, horizon,
                               static_cast<int>(rng.uniform_int(0, 3)));
-  sc.anti_entropy_interval = rng.uniform(0.2, 0.8);
+  sc.broadcast.anti_entropy_interval = rng.uniform(0.2, 0.8);
 
   shard::Cluster<Air> cluster(sc.cluster_config<Air>(GetParam() ^ 0xc4a0));
   harness::AirlineWorkload w;
@@ -123,9 +123,9 @@ TEST_P(CrashChaos, FullGuaranteeStackUnderCrashesAndPartitions) {
   harness::Scenario sc;
   sc.name = "crash-chaos";
   sc.num_nodes = nodes;
-  sc.delay = sim::Delay::exponential(rng.uniform(0.005, 0.05),
-                                     rng.uniform(0.05, 0.3), 5.0);
-  sc.drop_probability = rng.uniform(0.0, 0.25);
+  sc.network.delay = sim::Delay::exponential(rng.uniform(0.005, 0.05),
+                                             rng.uniform(0.05, 0.3), 5.0);
+  sc.network.drop_probability = rng.uniform(0.0, 0.25);
   sc.faults = sim::FaultPlan(GetParam() ^ 0x37c1);
   sc.faults.random_partitions(nodes, horizon,
                               static_cast<int>(rng.uniform_int(0, 3)));
@@ -133,7 +133,7 @@ TEST_P(CrashChaos, FullGuaranteeStackUnderCrashesAndPartitions) {
                            static_cast<int>(rng.uniform_int(1, 4)),
                            /*min_down=*/1.0, /*max_down=*/6.0,
                            /*amnesia_probability=*/0.5);
-  sc.anti_entropy_interval = rng.uniform(0.2, 0.8);
+  sc.broadcast.anti_entropy_interval = rng.uniform(0.2, 0.8);
 
   shard::Cluster<Air> cluster(sc.cluster_config<Air>(GetParam() ^ 0xc4a5));
   harness::AirlineWorkload w;
@@ -150,7 +150,7 @@ TEST_P(CrashChaos, FullGuaranteeStackUnderCrashesAndPartitions) {
   expect_full_stack(cluster);
   // Crashes really happened and every crashed node came back.
   const shard::EngineStats agg = cluster.aggregate_engine_stats();
-  EXPECT_EQ(agg.crashes, sc.faults.crashes().events().size());
+  EXPECT_EQ(agg.crashes, sc.faults.crashes().size());
   EXPECT_EQ(agg.recoveries, agg.crashes);
   EXPECT_GT(agg.crashes, 0u);
 }
@@ -201,11 +201,9 @@ TEST_P(PartialChaos, ShardedBankingSurvivesRandomFailures) {
   cfg.replication_factor = r;
   cfg.network.delay = sim::Delay::exponential(0.01, rng.uniform(0.02, 0.2), 3.0);
   cfg.network.drop_probability = rng.uniform(0.0, 0.25);
-  cfg.network.partitions =
-      sim::FaultPlan(GetParam() ^ 0x9a28)
-          .random_partitions(nodes, 20.0,
-                             static_cast<int>(rng.uniform_int(0, 2)))
-          .partitions();
+  cfg.faults = sim::FaultPlan(GetParam() ^ 0x9a28)
+                   .random_partitions(nodes, 20.0,
+                                      static_cast<int>(rng.uniform_int(0, 2)));
   cfg.anti_entropy_interval = 0.3;
   cfg.seed = GetParam() ^ 0x9a27;
   shard::PartialCluster<bk::ShardedBanking> cluster(cfg);
@@ -314,11 +312,11 @@ TEST_P(CorrelatedChaos, RackLossesAndDiskFailuresFullStack) {
   harness::Scenario sc;
   sc.name = "correlated-chaos";
   sc.num_nodes = nodes;
-  sc.delay = sim::Delay::exponential(rng.uniform(0.005, 0.05),
-                                     rng.uniform(0.05, 0.3), 5.0);
-  sc.drop_probability = rng.uniform(0.0, 0.25);
+  sc.network.delay = sim::Delay::exponential(rng.uniform(0.005, 0.05),
+                                             rng.uniform(0.05, 0.3), 5.0);
+  sc.network.drop_probability = rng.uniform(0.0, 0.25);
   sc.faults = sim::FaultPlan::chaos(GetParam() ^ 0xc0fa, nodes, horizon, opt);
-  sc.anti_entropy_interval = rng.uniform(0.2, 0.8);
+  sc.broadcast.anti_entropy_interval = rng.uniform(0.2, 0.8);
 
   shard::Cluster<Air> cluster(sc.cluster_config<Air>(GetParam() ^ 0xc4a7));
   harness::AirlineWorkload w;
@@ -334,7 +332,7 @@ TEST_P(CorrelatedChaos, RackLossesAndDiskFailuresFullStack) {
   cluster.settle();
   expect_full_stack(cluster);
   const shard::EngineStats agg = cluster.aggregate_engine_stats();
-  EXPECT_EQ(agg.crashes, sc.faults.crashes().events().size());
+  EXPECT_EQ(agg.crashes, sc.faults.crashes().size());
   EXPECT_EQ(agg.recoveries, agg.crashes);
 }
 
@@ -345,9 +343,9 @@ TEST(ChaosEdge, TwoNodeTotalIsolationRecovers) {
   // The extreme: two nodes fully isolated for almost the whole run.
   harness::Scenario sc;
   sc.num_nodes = 2;
-  sc.delay = sim::Delay::constant(0.01);
+  sc.network.delay = sim::Delay::constant(0.01);
   sc.faults.split_halves(2, 1, 0.5, 30.0);
-  sc.anti_entropy_interval = 0.4;
+  sc.broadcast.anti_entropy_interval = 0.4;
   shard::Cluster<Air> cluster(sc.cluster_config<Air>(1));
   harness::AirlineWorkload w;
   w.duration = 28.0;

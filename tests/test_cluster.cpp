@@ -71,7 +71,7 @@ TEST(Cluster, DeterministicGivenSeed) {
 
 TEST(Cluster, ExecutionTraceValidUnderLoss) {
   auto sc = harness::wan(4);
-  sc.drop_probability = 0.2;
+  sc.network.drop_probability = 0.2;
   shard::Cluster<Air> cluster(sc.cluster_config<Air>(5));
   harness::drive_airline(cluster, small_workload(), 6);
   cluster.run_until(15.0);
@@ -133,12 +133,12 @@ TEST(Cluster, PruneRepairStoreRejectsAmnesiaRecovery) {
   // restart relies on peers (and its own outbox) retaining everything, so
   // the combination is rejected at construction.
   auto bad = harness::crashy_node(3, 2.0, 4.0, sim::RecoveryMode::kAmnesia);
-  bad.prune_repair_store = true;
+  bad.broadcast.prune_repair_store = true;
   EXPECT_THROW(shard::Cluster<Air>(bad.cluster_config<Air>(7)),
                std::invalid_argument);
   // Durable recovery keeps its log; pruning remains safe.
   auto ok = harness::crashy_node(3, 2.0, 4.0, sim::RecoveryMode::kDurable);
-  ok.prune_repair_store = true;
+  ok.broadcast.prune_repair_store = true;
   EXPECT_NO_THROW(shard::Cluster<Air>(ok.cluster_config<Air>(7)));
 }
 

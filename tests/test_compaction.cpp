@@ -73,7 +73,7 @@ TEST(UpdateLogCompaction, MidInsertAboveCutStillCorrect) {
 
 TEST(ClusterCompaction, StableQuiescentClusterFoldsEverything) {
   auto sc = harness::lan(3);
-  sc.anti_entropy_interval = 0.2;
+  sc.broadcast.anti_entropy_interval = 0.2;
   auto cfg = sc.cluster_config<Air>(1);
   cfg.compaction = true;
   shard::Cluster<Air> cluster(cfg);
@@ -99,7 +99,7 @@ TEST(ClusterCompaction, ExecutionTraceSurvivesCompaction) {
   // Prefix recording must still name folded transactions — the formal
   // trace and all its checks are unaffected by storage reclamation.
   auto sc = harness::wan(3);
-  sc.anti_entropy_interval = 0.2;
+  sc.broadcast.anti_entropy_interval = 0.2;
   auto cfg = sc.cluster_config<Air>(2);
   cfg.compaction = true;
   shard::Cluster<Air> cluster(cfg);
@@ -132,7 +132,7 @@ TEST(ClusterCompaction, PartitionBlocksCompactionUntilHeal) {
   // During a partition the far side's promises cannot advance here, so the
   // stability point freezes — nothing below safety is discarded.
   auto sc = harness::partitioned_wan(4, 1.0, 10.0);
-  sc.anti_entropy_interval = 0.2;
+  sc.broadcast.anti_entropy_interval = 0.2;
   auto cfg = sc.cluster_config<Air>(4);
   cfg.compaction = true;
   shard::Cluster<Air> cluster(cfg);
@@ -165,7 +165,7 @@ TEST(ClusterCompaction, SerializableReservationPinsStability) {
   // A pending reservation holds the node's own promise at its timestamp,
   // so no node can fold past it — compaction and mixed mode compose.
   auto sc = harness::partitioned_wan(4, 2.0, 8.0);
-  sc.anti_entropy_interval = 0.2;
+  sc.broadcast.anti_entropy_interval = 0.2;
   auto cfg = sc.cluster_config<Air>(5);
   cfg.compaction = true;
   shard::Cluster<Air> cluster(cfg);

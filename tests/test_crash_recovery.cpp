@@ -85,7 +85,7 @@ TEST(FaultPlanCrashes, RejectsEmptyAndOverlappingWindows) {
 TEST(FaultPlanCrashes, RandomGeneratorProducesValidSchedules) {
   sim::FaultPlan plan(7);
   plan.random_crashes(4, 30.0, 12, 1.0, 4.0, 0.5);
-  const auto& events = plan.crashes().events();
+  const auto& events = plan.crashes();
   for (const auto& ev : events) {
     EXPECT_LT(ev.node, 4u);
     EXPECT_LT(ev.start, ev.end);
@@ -98,7 +98,7 @@ TEST(FaultPlanCrashes, RandomGeneratorProducesValidSchedules) {
   // Determinism of the generator itself: same plan seed, same schedule.
   sim::FaultPlan plan2(7);
   plan2.random_crashes(4, 30.0, 12, 1.0, 4.0, 0.5);
-  const auto& events2 = plan2.crashes().events();
+  const auto& events2 = plan2.crashes();
   ASSERT_EQ(events.size(), events2.size());
   for (std::size_t i = 0; i < events.size(); ++i) {
     EXPECT_EQ(events[i].node, events2[i].node);

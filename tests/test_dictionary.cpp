@@ -85,7 +85,7 @@ TEST(Dictionary, LookupDuringPartitionSeesPrefixSubsequence) {
 
 TEST(Dictionary, HeavyWorkloadConverges) {
   auto sc = harness::wan(4);
-  sc.drop_probability = 0.15;
+  sc.network.drop_probability = 0.15;
   shard::Cluster<Dictionary> cluster(sc.cluster_config<Dictionary>(11));
   sim::Rng rng(12);
   for (int i = 0; i < 200; ++i) {

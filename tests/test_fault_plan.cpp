@@ -20,8 +20,8 @@ TEST(FaultPlan, ComposesCrashesAndPartitionsFluently) {
       .split_halves(4, 2, 2.0, 6.0)
       .crash(1, 4.0, 5.0, sim::RecoveryMode::kAmnesia)
       .isolate(3, 4, 7.0, 9.0);
-  EXPECT_EQ(plan.crashes().events().size(), 2u);
-  EXPECT_EQ(plan.partitions().events().size(), 2u);
+  EXPECT_EQ(plan.crashes().size(), 2u);
+  EXPECT_EQ(plan.partitions().size(), 2u);
   EXPECT_TRUE(plan.down(0, 2.0));
   EXPECT_FALSE(plan.connected(0, 2, 3.0));
   EXPECT_FALSE(plan.connected(3, 0, 8.0));
@@ -75,33 +75,33 @@ TEST(FaultPlan, DiskFailureDrawsSeededFraction) {
   b.disk_failure(0, 1.0, 2.0);
   c.disk_failure(0, 1.0, 2.0);
   const auto frac = [](const sim::FaultPlan& p) {
-    return p.crashes().events().front().keep_fraction;
+    return p.crashes().front().keep_fraction;
   };
   // Same seed -> same draw; drawn fractions stay in the interesting band.
   EXPECT_DOUBLE_EQ(frac(a), frac(b));
   EXPECT_GE(frac(a), 0.1);
   EXPECT_LT(frac(a), 0.9);
   EXPECT_NE(frac(a), frac(c));
-  EXPECT_EQ(static_cast<int>(a.crashes().events().front().mode),
+  EXPECT_EQ(static_cast<int>(a.crashes().front().mode),
             static_cast<int>(sim::RecoveryMode::kStaleDisk));
   // The explicit-fraction overload must not consume the plan's RNG: the
   // next seeded draw matches a plan that never made the explicit call.
   sim::FaultPlan d(123);
   d.disk_failure(9, 50.0, 51.0, 0.25).disk_failure(0, 1.0, 2.0);
-  EXPECT_DOUBLE_EQ(d.crashes().events().back().keep_fraction, frac(a));
+  EXPECT_DOUBLE_EQ(d.crashes().back().keep_fraction, frac(a));
 }
 
 TEST(FaultPlan, RackPowerLossCorrelatesPartitionAndCrashes) {
   sim::FaultPlan plan;
   plan.rack_power_loss({1, 3}, 5, 2.0, 6.0, sim::RecoveryMode::kAmnesia);
   // One cut: {1,3} vs {0,2,4}.
-  ASSERT_EQ(plan.partitions().events().size(), 1u);
+  ASSERT_EQ(plan.partitions().size(), 1u);
   EXPECT_FALSE(plan.connected(1, 0, 3.0));
   EXPECT_TRUE(plan.connected(1, 3, 3.0));   // intra-rack link stays up
   EXPECT_TRUE(plan.connected(0, 4, 3.0));   // rest unaffected
   // Every rack node crashes for exactly the same window.
-  ASSERT_EQ(plan.crashes().events().size(), 2u);
-  for (const auto& ev : plan.crashes().events()) {
+  ASSERT_EQ(plan.crashes().size(), 2u);
+  for (const auto& ev : plan.crashes()) {
     EXPECT_TRUE(ev.node == 1 || ev.node == 3);
     EXPECT_DOUBLE_EQ(ev.start, 2.0);
     EXPECT_DOUBLE_EQ(ev.end, 6.0);
@@ -114,7 +114,7 @@ TEST(FaultPlan, RackPowerLossCorrelatesPartitionAndCrashes) {
 TEST(FaultPlan, RollingRestartStaggersNonOverlappingWindows) {
   sim::FaultPlan plan;
   plan.rolling_restart(4, 1.0, 2.0, 0.5);
-  const auto& events = plan.crashes().events();
+  const auto& events = plan.crashes();
   ASSERT_EQ(events.size(), 4u);
   for (sim::NodeId i = 0; i < 4; ++i) {
     EXPECT_EQ(events[i].node, i);
@@ -139,8 +139,8 @@ TEST(FaultPlan, RandomGenerationIsSeedDeterministic) {
   };
   const sim::FaultPlan a = build(99), b = build(99);
   EXPECT_EQ(a.describe(), b.describe());
-  ASSERT_EQ(a.crashes().events().size(), b.crashes().events().size());
-  ASSERT_EQ(a.partitions().events().size(), b.partitions().events().size());
+  ASSERT_EQ(a.crashes().size(), b.crashes().size());
+  ASSERT_EQ(a.partitions().size(), b.partitions().size());
   EXPECT_NE(a.describe(), build(100).describe());
 }
 
@@ -153,7 +153,7 @@ TEST(FaultPlan, ChaosProducesValidCorrelatedPlans) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     const sim::FaultPlan plan = sim::FaultPlan::chaos(seed, 5, 20.0, opt);
     // Valid: per-node crash windows never overlap, nodes in range.
-    const auto& events = plan.crashes().events();
+    const auto& events = plan.crashes();
     for (const auto& ev : events) {
       EXPECT_LT(ev.node, 5u);
       EXPECT_LT(ev.start, ev.end);
@@ -166,7 +166,7 @@ TEST(FaultPlan, ChaosProducesValidCorrelatedPlans) {
         EXPECT_TRUE(ev.end <= other.start || other.end <= ev.start);
       }
     }
-    EXPECT_FALSE(plan.partitions().events().empty());
+    EXPECT_FALSE(plan.partitions().empty());
     // Deterministic.
     EXPECT_EQ(plan.describe(),
               sim::FaultPlan::chaos(seed, 5, 20.0, opt).describe());

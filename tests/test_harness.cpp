@@ -153,13 +153,13 @@ TEST(Workload, CancelsComeAfterTheirRequests) {
 TEST(Scenario, ProfilesHaveExpectedShapes) {
   const auto lan = harness::lan(5);
   EXPECT_EQ(lan.num_nodes, 5u);
-  EXPECT_DOUBLE_EQ(lan.drop_probability, 0.0);
+  EXPECT_DOUBLE_EQ(lan.network.drop_probability, 0.0);
   EXPECT_FALSE(lan.faults.partitioned_at(1.0));
-  EXPECT_LE(lan.delay.upper_bound(), 0.01);
+  EXPECT_LE(lan.network.delay.upper_bound(), 0.01);
 
   const auto wan = harness::wan(4);
-  EXPECT_GT(wan.drop_probability, 0.0);
-  EXPECT_GT(wan.delay.upper_bound(), lan.delay.upper_bound());
+  EXPECT_GT(wan.network.drop_probability, 0.0);
+  EXPECT_GT(wan.network.delay.upper_bound(), lan.network.delay.upper_bound());
 
   const auto part = harness::partitioned_wan(4, 2.0, 9.0);
   EXPECT_TRUE(part.faults.partitioned_at(5.0));
@@ -172,27 +172,65 @@ TEST(Scenario, ProfilesHaveExpectedShapes) {
   EXPECT_TRUE(flaky.faults.connected(0, 1, 2.0));
 
   const auto roll = harness::rolling_restart(4, 1.0, 2.0, 0.5);
-  EXPECT_EQ(roll.faults.crashes().events().size(), 4u);
+  EXPECT_EQ(roll.faults.crashes().size(), 4u);
   EXPECT_TRUE(roll.faults.down(0, 1.5));
   EXPECT_FALSE(roll.faults.down(1, 1.5));  // one node at a time
   EXPECT_DOUBLE_EQ(roll.faults.last_restart_time(), 1.0 + 3 * 2.5 + 2.0);
 }
 
 TEST(Scenario, ClusterConfigCarriesEverything) {
+  // Every ClusterConfig field set on the scenario reaches the config; the
+  // seed is cluster_config's argument, whatever the scenario holds.
   auto sc = harness::partitioned_wan(4, 1.0, 2.0);
-  sc.causal_broadcast = false;
-  sc.anti_entropy_interval = 0.7;
+  sc.seed = 5;
+  sc.network.drop_probability = 0.125;
+  sc.broadcast.flood = false;
+  sc.broadcast.causal = false;
+  sc.broadcast.anti_entropy_interval = 0.7;
+  sc.broadcast.anti_entropy_jitter = 0.3;
+  sc.broadcast.max_repairs_per_message = 3;
+  sc.broadcast.prune_repair_store = true;
+  sc.broadcast.max_batch = 8;
   sc.checkpoint_interval = 5;
+  sc.max_checkpoints = 6;
+  sc.compaction = true;
+  sc.trace.enabled = true;
+  sc.trace.ring_capacity = 123;
+  sc.metrics_series = true;
+  sc.faults.crash(2, 3.0, 4.0, sim::RecoveryMode::kAmnesia)
+      .byzantine_payload(0.25, 0.5, 0.125, 1.0, 9.0);
   const auto cfg = sc.cluster_config<Air>(77);
+  EXPECT_EQ(cfg.seed, 77u);
   EXPECT_EQ(cfg.num_nodes, 4u);
+  EXPECT_EQ(cfg.network.delay.describe(), sc.network.delay.describe());
+  EXPECT_DOUBLE_EQ(cfg.network.drop_probability, 0.125);
+  EXPECT_FALSE(cfg.broadcast.flood);
   EXPECT_FALSE(cfg.broadcast.causal);
   EXPECT_DOUBLE_EQ(cfg.broadcast.anti_entropy_interval, 0.7);
+  EXPECT_DOUBLE_EQ(cfg.broadcast.anti_entropy_jitter, 0.3);
+  EXPECT_EQ(cfg.broadcast.max_repairs_per_message, 3u);
+  EXPECT_TRUE(cfg.broadcast.prune_repair_store);
+  EXPECT_EQ(cfg.broadcast.max_batch, 8u);
   EXPECT_EQ(cfg.checkpoint_interval, 5u);
-  EXPECT_EQ(cfg.seed, 77u);
-  // Partition cuts travel inside the plan; Cluster folds them into the
-  // network schedule at construction.
+  EXPECT_EQ(cfg.max_checkpoints, 6u);
+  EXPECT_TRUE(cfg.compaction);
+  EXPECT_TRUE(cfg.trace.enabled);
+  EXPECT_EQ(cfg.trace.ring_capacity, 123u);
+  EXPECT_TRUE(cfg.metrics_series);
+  // The plan arrives whole: cut, crash window and armed adversary.
+  EXPECT_EQ(cfg.faults.describe(), sc.faults.describe());
   EXPECT_TRUE(cfg.faults.partitioned_at(1.5));
-  EXPECT_FALSE(cfg.network.partitions.partitioned_at(1.5));
+  ASSERT_EQ(cfg.faults.crashes().size(), 1u);
+  EXPECT_TRUE(cfg.faults.down(2, 3.5));
+  EXPECT_EQ(cfg.faults.crashes()[0].mode, sim::RecoveryMode::kAmnesia);
+  const sim::ByzantineOptions& byz = cfg.faults.byzantine();
+  EXPECT_TRUE(byz.enabled);
+  EXPECT_DOUBLE_EQ(byz.corrupt_probability, 0.25);
+  EXPECT_DOUBLE_EQ(byz.duplicate_probability, 0.5);
+  EXPECT_DOUBLE_EQ(byz.reorder_probability, 0.125);
+  EXPECT_DOUBLE_EQ(byz.start, 1.0);
+  EXPECT_DOUBLE_EQ(byz.end, 9.0);
+  EXPECT_EQ(byz.seed, sc.faults.byzantine().seed);
 }
 
 TEST(Workload, BankingMixFollowsFractions) {

@@ -21,7 +21,6 @@
 
 #include "analysis/incident.hpp"
 #include "analysis/report.hpp"
-#include "analysis/trace_dump.hpp"
 #include "apps/airline/airline.hpp"
 #include "harness/scenario.hpp"
 #include "harness/workload.hpp"
@@ -34,7 +33,6 @@
 #include "obs/metrics.hpp"
 #include "obs/tracer.hpp"
 #include "shard/cluster.hpp"
-#include "sim/crash.hpp"
 #include "sim/fault_plan.hpp"
 #include "sim/rng.hpp"
 
@@ -350,14 +348,12 @@ TEST(IncidentReport, ExportersAreByteDeterministicAndFoldedIsTagged) {
             std::string::npos);
   EXPECT_NE(a.folded().find("incident0:epoch0:quiet;merge 100000\n"),
             std::string::npos);
-  // Empty bundle: empty exporters, and trace_dump prints nothing.
+  // Empty bundle: empty exporters, and render() prints nothing.
   const obs::IncidentReport empty =
       obs::IncidentReport::build("check", events, {});
   EXPECT_TRUE(empty.empty());
-  EXPECT_EQ(analysis::trace_dump(empty), "");
+  EXPECT_EQ(empty.render(), "");
   EXPECT_EQ(empty.folded(), "");
-  // Non-empty bundle renders through the trace_dump overload.
-  EXPECT_EQ(analysis::trace_dump(a), a.render());
   EXPECT_NE(a.render().find("admitted in epoch 0 [quiet]"), std::string::npos);
 }
 
@@ -507,9 +503,9 @@ harness::Scenario chaos_scenario(std::uint64_t seed, bool with_crashes) {
   const double horizon = 25.0;
   harness::Scenario sc;
   sc.num_nodes = nodes;
-  sc.delay = sim::Delay::exponential(rng.uniform(0.005, 0.05),
-                                     rng.uniform(0.05, 0.3), 5.0);
-  sc.drop_probability = rng.uniform(0.0, 0.25);
+  sc.network.delay = sim::Delay::exponential(rng.uniform(0.005, 0.05),
+                                             rng.uniform(0.05, 0.3), 5.0);
+  sc.network.drop_probability = rng.uniform(0.0, 0.25);
   sc.faults = sim::FaultPlan(seed ^ 0x9afb);
   sc.faults.random_partitions(nodes, horizon,
                               static_cast<int>(rng.uniform_int(0, 3)));
@@ -519,7 +515,7 @@ harness::Scenario chaos_scenario(std::uint64_t seed, bool with_crashes) {
                              /*min_down=*/1.0, /*max_down=*/6.0,
                              /*amnesia_probability=*/0.5);
   }
-  sc.anti_entropy_interval = rng.uniform(0.2, 0.8);
+  sc.broadcast.anti_entropy_interval = rng.uniform(0.2, 0.8);
   return sc;
 }
 

@@ -97,7 +97,7 @@ TEST(MixedMode, CompletePrefixDecisionIgnoresLaterTimestamps) {
   // with larger timestamps) must NOT be visible to the serializable
   // decision, even if they were merged before it ran.
   auto sc = harness::lan(2);
-  sc.anti_entropy_interval = 0.3;
+  sc.broadcast.anti_entropy_interval = 0.3;
   shard::Cluster<Air> cluster(sc.cluster_config<Air>(4));
   cluster.submit_at(0.5, 1, al::Request::request(1));
   // Reservation at t=1.0; its promise round-trip takes ~an anti-entropy

@@ -12,8 +12,8 @@
 #include <vector>
 
 #include "analysis/execution_checker.hpp"
+#include "analysis/incident.hpp"
 #include "analysis/report.hpp"
-#include "analysis/trace_dump.hpp"
 #include "apps/airline/airline.hpp"
 #include "harness/scenario.hpp"
 #include "harness/workload.hpp"
@@ -377,59 +377,76 @@ TEST(ObsEndToEnd, TraceStreamIsDeterministic) {
   EXPECT_EQ(a, run());
 }
 
-// ------------------------------------------------------------ trace dump --
+// ------------------------------------------------- violation rendering --
+// A checker's report renders through its incident bundle
+// (analysis::build_incident_report(...).render()).
 
-TEST(TraceDump, CleanReportDumpsNothing) {
+std::string render_incidents(const analysis::CheckReport& report,
+                             const core::Execution<Air>& exec,
+                             const Cluster& cluster) {
+  return analysis::build_incident_report(report, exec,
+                                         cluster.tracer()->ring())
+      .render();
+}
+
+TEST(IncidentRender, CleanReportRendersNothing) {
   const auto cluster = make_traced_chaos_cluster();
   const auto exec = cluster->execution();
   const analysis::CheckReport report =
       analysis::check_prefix_subsequence_condition(exec);
   ASSERT_TRUE(report.ok());
   EXPECT_TRUE(report.violating_txs().empty());
-  EXPECT_TRUE(
-      analysis::trace_dump(report, exec, *cluster->tracer()).empty());
+  EXPECT_TRUE(render_incidents(report, exec, *cluster).empty());
 }
 
-TEST(TraceDump, ViolationDumpsTraceWindowAroundOffendingUpdate) {
+TEST(IncidentRender, ViolationRendersTraceWindowAroundOffendingUpdate) {
   const auto cluster = make_traced_chaos_cluster();
   const auto exec = cluster->execution();
   ASSERT_GT(exec.size(), 0u);
   analysis::CheckReport report("synthetic");
   report.add_violation("tx 0: synthetic violation", 0);
   report.add_violation("tx 0: second violation, same tx", 0);
-  const std::string dump =
-      analysis::trace_dump(report, exec, *cluster->tracer());
+  const std::string dump = render_incidents(report, exec, *cluster);
   const core::Timestamp& ts = exec.tx(0).ts;
   std::ostringstream want;
-  want << "-- tx 0 ts=" << ts.logical << ":" << ts.node << " --";
+  want << "update ts=" << ts.logical << ":" << ts.node << " tx=0\n";
   EXPECT_NE(dump.find("synthetic"), std::string::npos);
-  // Deduplicated: the tx-0 header appears exactly once.
+  // One incident per violation, each under its own message.
+  EXPECT_NE(dump.find("tx 0: synthetic violation\n"), std::string::npos);
+  EXPECT_NE(dump.find("tx 0: second violation, same tx\n"),
+            std::string::npos);
   const auto first = dump.find(want.str());
   ASSERT_NE(first, std::string::npos);
-  EXPECT_EQ(dump.find(want.str(), first + 1), std::string::npos);
+  EXPECT_NE(dump.find(want.str(), first + 1), std::string::npos);
+  EXPECT_NE(dump.find("trace window ("), std::string::npos);
 }
 
-TEST(TraceDump, ViolationPrintsCausalChainAndProvenance) {
+TEST(IncidentRender, ViolationPrintsCausalChainAndProvenance) {
   const auto cluster = make_traced_chaos_cluster();
   const auto exec = cluster->execution();
   ASSERT_GT(exec.size(), 0u);
   analysis::CheckReport report("synthetic");
   report.add_violation("tx 0: synthetic violation", 0);
-  const std::string dump =
-      analysis::trace_dump(report, exec, *cluster->tracer());
+  const std::string dump = render_incidents(report, exec, *cluster);
   // The offending update's replication path, not just a ring window.
   EXPECT_NE(dump.find("causal chain"), std::string::npos);
   EXPECT_NE(dump.find("broadcast.originate"), std::string::npos);
-  EXPECT_NE(dump.find("ring window:"), std::string::npos);
-  // And the per-replica provenance from the update's flame timing row.
+  EXPECT_NE(dump.find("trace window ("), std::string::npos);
+  // And the per-replica provenance from the update's flame timing row,
+  // one row per node of the cluster.
   const core::Timestamp& ts = exec.tx(0).ts;
   std::ostringstream want;
-  want << "provenance:\nupdate " << ts.logical << ':' << ts.node
+  want << "provenance:\n     update " << ts.logical << ':' << ts.node
        << " originated";
   EXPECT_NE(dump.find(want.str()), std::string::npos);
+  for (std::size_t n = 0; n < cluster->num_nodes(); ++n) {
+    EXPECT_NE(dump.find("       node " + std::to_string(n) + ":"),
+              std::string::npos)
+        << "node " << n;
+  }
 }
 
-TEST(TraceDump, CheckerAttributesViolationsToTxIndices) {
+TEST(IncidentRender, CheckerAttributesViolationsToTxIndices) {
   // Hand-build a broken execution: tx 1's prefix references tx 1 (itself),
   // violating condition (1); the checker must attribute it to index 1.
   // Built through the raw-vector constructor — append() would reject it.
@@ -448,9 +465,8 @@ TEST(TraceDump, CheckerAttributesViolationsToTxIndices) {
   EXPECT_FALSE(report.ok());
   const std::vector<std::size_t> txs = report.violating_txs();
   EXPECT_NE(std::find(txs.begin(), txs.end(), 1u), txs.end());
-  const std::string dump = analysis::trace_dump(report, broken,
-                                                *cluster->tracer());
-  EXPECT_NE(dump.find("-- tx 1 "), std::string::npos);
+  const std::string dump = render_incidents(report, broken, *cluster);
+  EXPECT_NE(dump.find(" tx=1\n"), std::string::npos);
 }
 
 }  // namespace

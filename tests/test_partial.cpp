@@ -54,6 +54,28 @@ TEST(Partial, InvalidReplicationFactorRejected) {
                std::invalid_argument);
 }
 
+TEST(Partial, PlanWithFaultsItCannotExecuteRejected) {
+  // A partial cluster executes the plan's cuts and nothing else; a crash,
+  // a mid-broadcast crash or an armed adversary must not be dropped
+  // silently.
+  auto crashing = bank_config(4, 8, 2, 1);
+  crashing.faults.crash(1, 1.0, 2.0);
+  EXPECT_THROW(shard::PartialCluster<ShardedBanking>{crashing},
+               std::invalid_argument);
+  auto mid = bank_config(4, 8, 2, 1);
+  mid.faults.crash_mid_broadcast(1, 3);
+  EXPECT_THROW(shard::PartialCluster<ShardedBanking>{mid},
+               std::invalid_argument);
+  auto byzantine = bank_config(4, 8, 2, 1);
+  byzantine.faults.byzantine_payload(0.5);
+  EXPECT_THROW(shard::PartialCluster<ShardedBanking>{byzantine},
+               std::invalid_argument);
+  // Cuts alone are accepted.
+  auto cut = bank_config(4, 8, 2, 1);
+  cut.faults.split_halves(4, 2, 1.0, 2.0);
+  EXPECT_NO_THROW(shard::PartialCluster<ShardedBanking>{cut});
+}
+
 TEST(Partial, SingleGroupRequestsRouteToHosts) {
   shard::PartialCluster<ShardedBanking> cluster(bank_config(4, 8, 2, 2));
   const auto node = cluster.route({3});
@@ -166,8 +188,7 @@ TEST(Partial, GroupPrefixRecordsHoleAndExpandsAroundIt) {
   cfg.num_groups = 1;
   cfg.replication_factor = 2;
   cfg.network.delay = sim::Delay::constant(0.01);
-  cfg.network.partitions =
-      sim::FaultPlan{}.split_halves(2, 1, 1.0, 2.0).partitions();
+  cfg.faults.split_halves(2, 1, 1.0, 2.0);
   cfg.anti_entropy_interval = 5.0;
   shard::PartialCluster<ShardedBanking> cluster(cfg);
   cluster.run_until(1.5);
@@ -228,8 +249,7 @@ TEST(Partial, DictionaryShardsConvergeUnderPartition) {
   cfg.num_groups = 8;
   cfg.replication_factor = 2;
   cfg.network.delay = sim::Delay::uniform(0.01, 0.08);
-  cfg.network.partitions =
-      sim::FaultPlan{}.split_halves(4, 2, 1.0, 6.0).partitions();
+  cfg.faults.split_halves(4, 2, 1.0, 6.0);
   cfg.anti_entropy_interval = 0.3;
   cfg.seed = 12;
   shard::PartialCluster<Dict8> cluster(cfg);

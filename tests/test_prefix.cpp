@@ -147,19 +147,19 @@ TEST_P(PrefixChaos, InternedPrefixMatchesTraceOracle) {
   harness::Scenario sc;
   sc.name = "prefix-chaos";
   sc.num_nodes = nodes;
-  sc.delay = sim::Delay::exponential(rng.uniform(0.005, 0.05),
-                                     rng.uniform(0.05, 0.3), 5.0);
-  sc.drop_probability = rng.uniform(0.0, 0.25);
+  sc.network.delay = sim::Delay::exponential(rng.uniform(0.005, 0.05),
+                                             rng.uniform(0.05, 0.3), 5.0);
+  sc.network.drop_probability = rng.uniform(0.0, 0.25);
   sc.faults = sim::FaultPlan(GetParam() ^ 0x9afb);
   sc.faults.random_partitions(nodes, horizon,
                               static_cast<int>(rng.uniform_int(0, 3)));
-  sc.anti_entropy_interval = rng.uniform(0.2, 0.8);
+  sc.broadcast.anti_entropy_interval = rng.uniform(0.2, 0.8);
   // Both delivery modes: non-causal runs exercise the out-of-order extras
   // path of PrefixRef; compaction runs prove folding never corrupts the
   // recorded knowledge; bounded repair must not change what is delivered.
-  sc.causal_broadcast = rng.bernoulli(0.5);
+  sc.broadcast.causal = rng.bernoulli(0.5);
   sc.compaction = rng.bernoulli(0.5);
-  sc.max_repairs_per_message = rng.bernoulli(0.5) ? 4 : 0;
+  sc.broadcast.max_repairs_per_message = rng.bernoulli(0.5) ? 4 : 0;
   sc.trace.enabled = true;
 
   shard::Cluster<Air> cluster(sc.cluster_config<Air>(GetParam() ^ 0x9f17));
@@ -173,7 +173,7 @@ TEST_P(PrefixChaos, InternedPrefixMatchesTraceOracle) {
   w.cancel_fraction = rng.uniform(0.0, 0.3);
   w.max_persons = 120;
   harness::drive_airline(cluster, w, GetParam() ^ 0x5eed);
-  if (sc.causal_broadcast) {
+  if (sc.broadcast.causal) {
     // A few serializable submissions exercise the reserved-cut path. Node 0
     // originates them: its reserved (L, 0) position is covered by any
     // peer's (L, m > 0) promise, so the reservations stay live even if the
@@ -205,15 +205,15 @@ TEST_P(PrefixCrashChaos, InternedPrefixSurvivesCrashRecovery) {
   harness::Scenario sc;
   sc.name = "prefix-crash-chaos";
   sc.num_nodes = nodes;
-  sc.delay = sim::Delay::exponential(rng.uniform(0.005, 0.05),
-                                     rng.uniform(0.05, 0.2), 5.0);
-  sc.drop_probability = rng.uniform(0.0, 0.2);
+  sc.network.delay = sim::Delay::exponential(rng.uniform(0.005, 0.05),
+                                             rng.uniform(0.05, 0.2), 5.0);
+  sc.network.drop_probability = rng.uniform(0.0, 0.2);
   sc.faults = sim::FaultPlan(GetParam() ^ 0x37c1);
   sc.faults.random_crashes(nodes, horizon,
                            static_cast<int>(rng.uniform_int(1, 4)),
                            /*min_down=*/1.0, /*max_down=*/5.0,
                            /*amnesia_probability=*/0.5);
-  sc.anti_entropy_interval = rng.uniform(0.2, 0.6);
+  sc.broadcast.anti_entropy_interval = rng.uniform(0.2, 0.6);
   sc.compaction = rng.bernoulli(0.5);
   sc.trace.enabled = true;
 

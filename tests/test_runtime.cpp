@@ -67,9 +67,9 @@ harness::Scenario chaos_scenario(std::uint64_t seed, bool with_crashes) {
   const double horizon = 25.0;
   harness::Scenario sc;
   sc.num_nodes = nodes;
-  sc.delay = sim::Delay::exponential(rng.uniform(0.005, 0.05),
-                                     rng.uniform(0.05, 0.3), 5.0);
-  sc.drop_probability = rng.uniform(0.0, 0.25);
+  sc.network.delay = sim::Delay::exponential(rng.uniform(0.005, 0.05),
+                                             rng.uniform(0.05, 0.3), 5.0);
+  sc.network.drop_probability = rng.uniform(0.0, 0.25);
   sc.faults = sim::FaultPlan(seed ^ 0x9afb);
   sc.faults.random_partitions(nodes, horizon,
                               static_cast<int>(rng.uniform_int(0, 3)));
@@ -79,7 +79,7 @@ harness::Scenario chaos_scenario(std::uint64_t seed, bool with_crashes) {
                              /*min_down=*/1.0, /*max_down=*/6.0,
                              /*amnesia_probability=*/0.5);
   }
-  sc.anti_entropy_interval = rng.uniform(0.2, 0.8);
+  sc.broadcast.anti_entropy_interval = rng.uniform(0.2, 0.8);
   return sc;
 }
 

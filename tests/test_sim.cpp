@@ -268,9 +268,8 @@ TEST(Network, DeliversAfterSampledDelay) {
 
 TEST(Network, PartitionAtSendTimeDropsMessage) {
   sim::Scheduler sched;
-  sim::Network::Config cfg;
-  cfg.partitions = sim::FaultPlan{}.split_halves(2, 1, 0.0, 10.0).partitions();
-  sim::Network net(sched, cfg, 1);
+  sim::Network net(sched, {}, 1,
+                   sim::FaultPlan{}.split_halves(2, 1, 0.0, 10.0));
   int received = 0;
   net.register_node(0, [](const runtime::Message&) {});
   net.register_node(1, [&](const runtime::Message&) { ++received; });

@@ -27,8 +27,8 @@
 
 #include "analysis/cost_bounds.hpp"
 #include "analysis/execution_checker.hpp"
+#include "analysis/incident.hpp"
 #include "analysis/streaming.hpp"
-#include "analysis/trace_dump.hpp"
 #include "apps/airline/airline.hpp"
 #include "harness/scenario.hpp"
 #include "harness/workload.hpp"
@@ -125,13 +125,13 @@ TEST_P(StreamingChaos, MatchesOraclesUnderRandomFailures) {
   harness::Scenario sc;
   sc.name = "streaming-chaos";
   sc.num_nodes = nodes;
-  sc.delay = sim::Delay::exponential(rng.uniform(0.005, 0.05),
-                                     rng.uniform(0.05, 0.3), 5.0);
-  sc.drop_probability = rng.uniform(0.0, 0.3);
+  sc.network.delay = sim::Delay::exponential(rng.uniform(0.005, 0.05),
+                                             rng.uniform(0.05, 0.3), 5.0);
+  sc.network.drop_probability = rng.uniform(0.0, 0.3);
   sc.faults = sim::FaultPlan(GetParam() ^ 0x9afb);
   sc.faults.random_partitions(nodes, horizon,
                               static_cast<int>(rng.uniform_int(0, 3)));
-  sc.anti_entropy_interval = rng.uniform(0.2, 0.8);
+  sc.broadcast.anti_entropy_interval = rng.uniform(0.2, 0.8);
 
   shard::Cluster<Air> cluster(sc.cluster_config<Air>(GetParam() ^ 0xc4a0));
   Checker ck(nodes, full_options());
@@ -167,9 +167,9 @@ TEST_P(StreamingCrashChaos, MatchesOraclesUnderCrashesAndPartitions) {
   harness::Scenario sc;
   sc.name = "streaming-crash-chaos";
   sc.num_nodes = nodes;
-  sc.delay = sim::Delay::exponential(rng.uniform(0.005, 0.05),
-                                     rng.uniform(0.05, 0.3), 5.0);
-  sc.drop_probability = rng.uniform(0.0, 0.25);
+  sc.network.delay = sim::Delay::exponential(rng.uniform(0.005, 0.05),
+                                             rng.uniform(0.05, 0.3), 5.0);
+  sc.network.drop_probability = rng.uniform(0.0, 0.25);
   sc.faults = sim::FaultPlan(GetParam() ^ 0x37c1);
   sc.faults.random_partitions(nodes, horizon,
                               static_cast<int>(rng.uniform_int(0, 3)));
@@ -177,7 +177,7 @@ TEST_P(StreamingCrashChaos, MatchesOraclesUnderCrashesAndPartitions) {
                            static_cast<int>(rng.uniform_int(1, 4)),
                            /*min_down=*/1.0, /*max_down=*/6.0,
                            /*amnesia_probability=*/0.5);
-  sc.anti_entropy_interval = rng.uniform(0.2, 0.8);
+  sc.broadcast.anti_entropy_interval = rng.uniform(0.2, 0.8);
 
   shard::Cluster<Air> cluster(sc.cluster_config<Air>(GetParam() ^ 0xc4a5));
   Checker ck(nodes, full_options());
@@ -223,11 +223,11 @@ TEST_P(StreamingCorrelatedChaos, MatchesOraclesUnderCorrelatedFaults) {
   harness::Scenario sc;
   sc.name = "streaming-correlated-chaos";
   sc.num_nodes = nodes;
-  sc.delay = sim::Delay::exponential(rng.uniform(0.005, 0.05),
-                                     rng.uniform(0.05, 0.3), 5.0);
-  sc.drop_probability = rng.uniform(0.0, 0.25);
+  sc.network.delay = sim::Delay::exponential(rng.uniform(0.005, 0.05),
+                                             rng.uniform(0.05, 0.3), 5.0);
+  sc.network.drop_probability = rng.uniform(0.0, 0.25);
   sc.faults = sim::FaultPlan::chaos(GetParam() ^ 0xc0fa, nodes, horizon, opt);
-  sc.anti_entropy_interval = rng.uniform(0.2, 0.8);
+  sc.broadcast.anti_entropy_interval = rng.uniform(0.2, 0.8);
 
   shard::Cluster<Air> cluster(sc.cluster_config<Air>(GetParam() ^ 0xc4a7));
   Checker ck(nodes, full_options());
@@ -307,16 +307,16 @@ TEST_P(StreamingByzantine, MatchesOraclesUnderPayloadCorruption) {
   harness::Scenario sc;
   sc.name = "streaming-byzantine";
   sc.num_nodes = nodes;
-  sc.delay = sim::Delay::exponential(rng.uniform(0.005, 0.05),
-                                     rng.uniform(0.05, 0.3), 5.0);
-  sc.drop_probability = rng.uniform(0.0, 0.3);
+  sc.network.delay = sim::Delay::exponential(rng.uniform(0.005, 0.05),
+                                             rng.uniform(0.05, 0.3), 5.0);
+  sc.network.drop_probability = rng.uniform(0.0, 0.3);
   sc.faults = sim::FaultPlan(GetParam() ^ 0x9afb);
   sc.faults.random_partitions(nodes, horizon,
                               static_cast<int>(rng.uniform_int(0, 3)));
   sc.faults.byzantine_payload(/*corrupt=*/0.08, /*duplicate=*/0.05,
                               /*reorder=*/0.05, /*start=*/0.0,
                               /*end=*/horizon);
-  sc.anti_entropy_interval = rng.uniform(0.2, 0.8);
+  sc.broadcast.anti_entropy_interval = rng.uniform(0.2, 0.8);
 
   shard::Cluster<Air> cluster(sc.cluster_config<Air>(GetParam() ^ 0xc4a0));
   Checker ck(nodes, full_options());
@@ -368,14 +368,14 @@ TEST(StreamingByzantine, AdversaryAndDetectorBothFireAcrossSweep) {
 
     harness::Scenario sc;
     sc.num_nodes = nodes;
-    sc.delay = sim::Delay::exponential(rng.uniform(0.005, 0.05),
-                                       rng.uniform(0.05, 0.3), 5.0);
-    sc.drop_probability = rng.uniform(0.0, 0.3);
+    sc.network.delay = sim::Delay::exponential(rng.uniform(0.005, 0.05),
+                                               rng.uniform(0.05, 0.3), 5.0);
+    sc.network.drop_probability = rng.uniform(0.0, 0.3);
     sc.faults = sim::FaultPlan(seed ^ 0x9afb);
     sc.faults.random_partitions(nodes, horizon,
                                 static_cast<int>(rng.uniform_int(0, 3)));
     sc.faults.byzantine_payload(0.08, 0.05, 0.05, 0.0, horizon);
-    sc.anti_entropy_interval = rng.uniform(0.2, 0.8);
+    sc.broadcast.anti_entropy_interval = rng.uniform(0.2, 0.8);
 
     shard::Cluster<Air> cluster(sc.cluster_config<Air>(seed ^ 0xc4a0));
     Checker ck(nodes, full_options());
@@ -445,9 +445,9 @@ TEST(StreamingBoundedMemory, RetainedFootprintIsWindowSized) {
 
 // --- Trace pinning --------------------------------------------------------
 
-// The latent trace_dump flaw this guards against: by the time a post-run
-// dump asks the ring for a violation's context, a busy run has wrapped the
-// ring past the offending update and the window silently comes back empty.
+// The latent flaw this guards against: by the time a post-run rendering
+// asks the ring for a violation's context, a busy run has wrapped the ring
+// past the offending update and the window silently comes back empty.
 // Windows pinned at detection time must survive the wrap.
 TEST(StreamingTracePinning, PinnedWindowsSurviveRingWrap) {
   harness::Scenario sc = harness::lan(3);
@@ -486,10 +486,10 @@ TEST(StreamingTracePinning, PinnedWindowsSurviveRingWrap) {
   EXPECT_TRUE(survived_wrap);
 }
 
-// The pinned-window trace_dump overload renders from pins, never from the
-// live ring: a report whose tx has a pinned window prints it; one without
-// says so instead of coming back empty.
-TEST(StreamingTracePinning, TraceDumpRendersFromPinnedWindows) {
+// An incident bundle renders from pins, not from the live ring: with no
+// stream at all, a report whose tx has a pinned window prints exactly that
+// window; one without says so instead of coming back empty.
+TEST(StreamingTracePinning, IncidentRenderUsesPinnedWindows) {
   harness::Scenario sc = harness::lan(2);
   sc.trace.enabled = true;
   shard::Cluster<Air> cluster(sc.cluster_config<Air>(0x71b0));
@@ -512,10 +512,17 @@ TEST(StreamingTracePinning, TraceDumpRendersFromPinnedWindows) {
   ASSERT_FALSE(pw.events.empty());
   pinned.push_back(pw);
 
-  const std::string dump = analysis::trace_dump(report, exec, pinned);
-  EXPECT_NE(dump.find("pinned trace context"), std::string::npos);
-  EXPECT_NE(dump.find("pinned window:"), std::string::npos);
-  EXPECT_NE(dump.find("(no window pinned for this update)"),
+  const obs::IncidentReport bundle =
+      analysis::build_incident_report(report, exec, {}, pinned);
+  ASSERT_EQ(bundle.incidents().size(), 2u);
+  EXPECT_EQ(obs::serialize(bundle.incidents()[0].window),
+            obs::serialize(pw.events));
+  const std::string dump = bundle.render();
+  EXPECT_NE(dump.find("pinning self-test"), std::string::npos);
+  EXPECT_NE(dump.find("   trace window (" + std::to_string(pw.events.size()) +
+                      " events):\n"),
+            std::string::npos);
+  EXPECT_NE(dump.find("(no trace window available)"),
             std::string::npos);  // tx 1 has no pin
 }
 

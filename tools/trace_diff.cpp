@@ -31,7 +31,7 @@
 #include "obs/causal.hpp"
 #include "obs/tracer.hpp"
 #include "shard/cluster.hpp"
-#include "sim/crash.hpp"
+#include "sim/fault_plan.hpp"
 #include "tool_cli.hpp"
 
 namespace {
