@@ -30,6 +30,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cassert>
 #include <compare>
 #include <cstddef>
 #include <cstdint>
@@ -98,6 +99,14 @@ struct BasicAirline;
 /// State for every snapshot. The index has two bits for every id up to the
 /// largest one ever added to a list (ids are dense, see Person), in every
 /// copy.
+///
+/// Beside the index the State counts its surplus occurrences: copies of a
+/// person beyond the first inside one list. The count is derived from the
+/// lists, so it stays out of equality. While it is zero every person occurs
+/// at most once in each list, and a removal stops at the one occurrence,
+/// searched for from both ends of the list at once: the paper's programs
+/// remove list ends (MOVE-UP the head of WAIT-LIST, MOVE-DOWN the tail of
+/// ASSIGNED-LIST), and a CANCEL anywhere costs no more than a forward scan.
 class State {
  public:
   /// The initial state: both lists empty.
@@ -152,10 +161,15 @@ class State {
     return w < index_.size() ? (index_[w] >> shift(p)) & 3u : 0u;
   }
 
-  void set(Person p, std::uint64_t bit) {
+  /// Sets P's bit; returns 1 if it was set already (P is then a surplus
+  /// occurrence in that list), 0 if not.
+  std::size_t set(Person p, std::uint64_t bit) {
     const std::size_t w = p / kIdsPerWord;
     if (w >= index_.size()) index_.resize(w + 1);
-    index_[w] |= bit << shift(p);
+    const std::uint64_t mask = bit << shift(p);
+    const std::size_t had = (index_[w] & mask) != 0;
+    index_[w] |= mask;
+    return had;
   }
   void clear(Person p, std::uint64_t bit) {
     index_[p / kIdsPerWord] &= ~(bit << shift(p));
@@ -167,18 +181,18 @@ class State {
 
   /// P to the end of ASSIGNED-LIST.
   void push_assigned(Person p) {
-    set(p, kAssigned);
+    surplus_ += set(p, kAssigned);
     lists_.insert(at(split_), p);
     ++split_;
   }
   /// P to the end of WAIT-LIST.
   void push_waiting(Person p) {
-    set(p, kWaiting);
+    surplus_ += set(p, kWaiting);
     lists_.push_back(p);
   }
   /// P to the front of WAIT-LIST.
   void push_waiting_front(Person p) {
-    set(p, kWaiting);
+    surplus_ += set(p, kWaiting);
     lists_.insert(at(split_), p);
   }
 
@@ -186,21 +200,44 @@ class State {
   void erase_assigned(Person p) {
     if (!is_assigned(p)) return;
     clear(p, kAssigned);
-    const auto kept = std::remove(lists_.begin(), at(split_), p);
-    const auto removed = static_cast<std::size_t>(at(split_) - kept);
-    lists_.erase(kept, at(split_));
-    split_ -= removed;
+    split_ -= erase_all(lists_.begin(), at(split_), p);
   }
   /// Remove every occurrence of P from WAIT-LIST.
   void erase_waiting(Person p) {
     if (!is_waiting(p)) return;
     clear(p, kWaiting);
-    lists_.erase(std::remove(at(split_), lists_.end(), p), lists_.end());
+    erase_all(at(split_), lists_.end(), p);
+  }
+
+  /// Remove every occurrence of P from [first, last), a list that holds P
+  /// at least once, and return how many there were. With no surplus P
+  /// occurs once: step inward from both ends until one of them reaches it.
+  std::size_t erase_all(std::vector<Person>::iterator first,
+                        std::vector<Person>::iterator last, Person p) {
+    if (surplus_ == 0) {
+      for (auto back = last - 1;; ++first, --back) {
+        assert(first <= back);
+        if (*first == p) break;
+        if (*back == p) {
+          first = back;
+          break;
+        }
+      }
+      lists_.erase(first);
+      return 1;
+    }
+    const auto kept = std::remove(first, last, p);
+    const auto removed = static_cast<std::size_t>(last - kept);
+    lists_.erase(kept, last);
+    surplus_ -= removed - 1;
+    return removed;
   }
 
   std::vector<Person> lists_;         ///< ASSIGNED-LIST, then WAIT-LIST
   std::size_t split_ = 0;             ///< where WAIT-LIST starts in lists_
   std::vector<std::uint64_t> index_;  ///< two bits per id
+  std::size_t surplus_ = 0;           ///< copies beyond a person's first,
+                                      ///< summed over both lists
 };
 
 /// The application, parameterized so experiments can shrink the flight.

@@ -18,12 +18,15 @@ struct EngineStats {
   std::uint64_t tail_appends = 0;    ///< Updates merged at the log tail.
   std::uint64_t mid_inserts = 0;     ///< Updates merged out of order.
   std::uint64_t undone_updates = 0;  ///< Updates rolled back by mid-inserts.
-  /// Applies the engine actually made: one per tail append plus every
+  /// Applies the engine made to merge: one per tail append plus every
   /// update replayed from a checkpoint after a mid-insert. Not the literal
   /// undo/redo count (undone_updates + mid_inserts + tail_appends): a
   /// replay adds the entries between its checkpoint and the insertion
   /// point, and skips every entry above a newcomer that changed nothing
   /// where it landed, so it can fall either side of the literal count.
+  /// Applies made outside a merge are not counted: compaction's advance
+  /// of the base (compact_before), the rebuild after a stale-disk
+  /// truncation (truncate_suffix) and the prefix views of state_before.
   std::uint64_t redone_updates = 0;
   /// Snapshots taken, at the tail and along mid-insert replays.
   std::uint64_t checkpoints_taken = 0;

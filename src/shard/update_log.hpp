@@ -29,10 +29,13 @@
 // everything above it. The observable result, the undo count
 // (`undone_updates`, what the thrashing analysis consumes) and the merge.*
 // trace events are identical to the literal strategy. `redone_updates` is
-// not: it counts the applies the engine actually made — the replay from
+// not: it counts the applies the engine made to merge — the replay from
 // the checkpoint up to the newcomer, and the entries above it only when
 // the newcomer changed the state — so it can fall on either side of the
-// literal redo count (undone_updates + mid_inserts + tail_appends). With
+// literal redo count (undone_updates + mid_inserts + tail_appends). It
+// leaves out the applies made outside a merge: compaction's advance of the
+// base (compact_before), the rebuild in truncate_suffix, and state_before
+// (so an instrumented App::apply can count more than the log does). With
 // max_checkpoints set, the retention rule in thin_checkpoints() keeps each
 // replay within a small factor of the displacement (DESIGN.md §9).
 //

@@ -7,6 +7,7 @@
 #include <array>
 #include <ostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/airline/airline.hpp"
@@ -402,6 +403,28 @@ std::vector<al::Person> probed_ids() {
   return ::testing::AssertionSuccess();
 }
 
+/// Applies `u` to both sides, then checks that they still agree and that
+/// `==` says the state changed exactly when the reference did.
+::testing::AssertionResult step_agrees(const Update& u, State& s,
+                                       ListState& ref,
+                                       const std::vector<al::Person>& ids) {
+  const State prev = s;
+  const ListState prev_ref = ref;
+  Airline::apply(u, s);
+  list_apply(u, ref);
+  if (const auto ok = agrees(s, ref, ids); !ok) {
+    return ::testing::AssertionFailure()
+           << u.to_string() << " on " << prev.to_string() << ": "
+           << ok.message();
+  }
+  if ((s == prev) != (ref == prev_ref)) {
+    return ::testing::AssertionFailure()
+           << u.to_string() << " on " << prev.to_string()
+           << ": equality disagrees";
+  }
+  return ::testing::AssertionSuccess();
+}
+
 TEST(AirlineIndex, AgreesWithTheListScanPrograms) {
   sim::Rng rng(26);
   const std::vector<al::Person> ids = probed_ids();
@@ -416,10 +439,13 @@ TEST(AirlineIndex, AgreesWithTheListScanPrograms) {
     return v[static_cast<std::size_t>(
         rng.uniform_int(0, static_cast<std::int64_t>(v.size()) - 1))];
   };
+  // Random update sequences. Starts hold up to 40 entries, so a removal
+  // searching from both ends of a list meets mid-list at odd and even
+  // lengths.
   for (int trial = 0; trial < 240; ++trial) {
     // A well-formed start: distinct persons, split between the lists.
     ListState ref;
-    const auto n = rng.uniform_int(0, 14);
+    const auto n = rng.uniform_int(0, 40);
     std::vector<al::Person> people;
     while (static_cast<std::int64_t>(people.size()) < n) {
       const al::Person p = any_person();
@@ -441,21 +467,69 @@ TEST(AirlineIndex, AgreesWithTheListScanPrograms) {
     State s(ref.assigned, ref.waiting);
     ASSERT_TRUE(agrees(s, ref, ids)) << "trial " << trial << " start";
     for (int step = 0; step < 60; ++step) {
-      const State prev = s;
-      const ListState prev_ref = ref;
       Update u;
       u.kind = static_cast<Update::Kind>(rng.uniform_int(0, 4));
-      // Half the updates name someone on a list, so removals happen.
+      // Half the updates name someone on a list, so removals happen, and
+      // a quarter the head or tail of one of the lists.
       const std::vector<al::Person> known = Airline::Priority::known(s);
-      u.person = !known.empty() && rng.bernoulli(0.5) ? pick(known)
-                                                      : any_person();
-      Airline::apply(u, s);
-      list_apply(u, ref);
-      ASSERT_TRUE(agrees(s, ref, ids))
-          << "trial " << trial << " step " << step << ": " << u.to_string()
-          << " on " << prev.to_string();
-      ASSERT_EQ(s == prev, ref == prev_ref)
-          << "trial " << trial << " step " << step << ": " << u.to_string();
+      std::vector<al::Person> ends;
+      for (const auto list : {s.assigned(), s.waiting()}) {
+        if (!list.empty()) ends.insert(ends.end(), {list.front(), list.back()});
+      }
+      const auto draw = rng.uniform_int(0, 3);
+      u.person = draw < 2 && !known.empty()   ? pick(known)
+                 : draw == 2 && !ends.empty() ? pick(ends)
+                                              : any_person();
+      ASSERT_TRUE(step_agrees(u, s, ref, ids))
+          << "trial " << trial << " step " << step;
+    }
+  }
+  // Every position of lists of 1 to 40 entries: CANCEL, MOVE-UP and
+  // MOVE-DOWN of the person there, so every removal point is reached:
+  // heads, tails, only entries, and where the two ends meet.
+  for (int len = 1; len <= 40; ++len) {
+    std::vector<al::Person> list;
+    for (int i = 1; i <= len; ++i) list.push_back(static_cast<al::Person>(i));
+    const std::vector<al::Person> other = {41, 42, 43};
+    for (const bool on_assigned : {true, false}) {
+      const ListState start = on_assigned ? ListState{list, other}
+                                          : ListState{other, list};
+      for (const al::Person p : list) {
+        for (const auto kind : {Update::Kind::kCancel, Update::Kind::kMoveUp,
+                                Update::Kind::kMoveDown}) {
+          ListState ref = start;
+          State s(ref.assigned, ref.waiting);
+          ASSERT_TRUE(step_agrees({kind, p}, s, ref, ids))
+              << "length " << len << (on_assigned ? " assigned" : " waiting");
+        }
+      }
+    }
+  }
+  // Ill-formed starts whose surplus count (copies of a person beyond the
+  // first inside one list) goes 0 -> 2 -> 0, then random steps. In the
+  // first, P2 and P4 sit on both lists, which is no surplus; MOVE-UP(P2)
+  // adds a second P2 to ASSIGNED-LIST, MOVE-DOWN(P4) a second P4 to
+  // WAIT-LIST, and each CANCEL removes both copies. In the second, the
+  // start holds two duplicates and CANCELs remove them.
+  const std::vector<std::pair<ListState, std::vector<Update>>> scripts = {
+      {ListState{{1, 2, 3, 4}, {5, 2, 6, 4, 7}},
+       {{Update::Kind::kMoveUp, 2},
+        {Update::Kind::kMoveDown, 4},
+        {Update::Kind::kCancel, 2},
+        {Update::Kind::kCancel, 4}}},
+      {ListState{{1, 2, 1, 3}, {4, 5, 6, 5}},
+       {{Update::Kind::kCancel, 1}, {Update::Kind::kCancel, 5}}},
+  };
+  for (const auto& [start, script] : scripts) {
+    ListState ref = start;
+    State s(ref.assigned, ref.waiting);
+    for (const Update& u : script) ASSERT_TRUE(step_agrees(u, s, ref, ids));
+    ASSERT_TRUE(Airline::well_formed(s)) << s.to_string();
+    for (int step = 0; step < 60; ++step) {
+      const std::vector<al::Person> known = Airline::Priority::known(s);
+      const Update u{static_cast<Update::Kind>(rng.uniform_int(0, 4)),
+                     known.empty() ? any_person() : pick(known)};
+      ASSERT_TRUE(step_agrees(u, s, ref, ids)) << "step " << step;
     }
   }
 }
